@@ -7,10 +7,9 @@ Times the same cell grid three ways —
 * parallel (``max_workers=N``; N from ``REPRO_JOBS``, default 2),
 * warm-cache re-run (every cell already cached),
 
-asserts all three produce byte-identical payloads, times the warm
-bulk-read path on both store backends (sharded JSON vs sqlite — the
-``get_many`` contract behind one-read warm grids), and archives the
-timings plus cache-hit statistics to ``BENCH_runner.json`` at the repo
+asserts all three produce byte-identical payloads, and archives the
+timings plus cache-hit statistics (and the Python, sqlite and CPU
+environment they were taken in) to ``BENCH_runner.json`` at the repo
 root.  No minimum speedup is asserted: cells are milliseconds-long
 analytic simulations, so the wall-clock ratio is reported, not
 enforced.  What *is* enforced is the subsystem's contract: same bytes,
@@ -26,6 +25,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import sqlite3
 import time
 from pathlib import Path
 
@@ -34,14 +35,7 @@ import pytest
 from repro.analysis.figures import FIG7_SIZES
 from repro.apps import GREP, WORDCOUNT
 from repro.core.architectures import out_ofs, up_ofs
-from repro.runner import (
-    PoolRunner,
-    ResultCache,
-    SqliteResultCache,
-    canonical_json,
-    migrate_json_tree,
-    sweep_experiment,
-)
+from repro.runner import PoolRunner, ResultCache, canonical_json, sweep_experiment
 from conftest import runner_workers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -92,35 +86,6 @@ def test_runner_scaling(benchmark, artifact, tmp_path):
     assert warm_stats.simulated == 0
     assert warm_stats.cache_hits == len(cells)
 
-    # Store-backend face-off: migrate the warm JSON tree into sqlite and
-    # time the warm bulk read (`get_many` over the whole grid) on both.
-    sqlite_store = SqliteResultCache(tmp_path / "cache" / "results.sqlite")
-    migrated = migrate_json_tree(ResultCache(tmp_path / "cache"), sqlite_store)
-    assert migrated == len(set(c.content_key() for c in cells))
-    keys = [cell.content_key() for cell in cells]
-    store_bench = {}
-    for store in (ResultCache(tmp_path / "cache"), sqlite_store):
-        t0 = time.perf_counter()
-        found = store.get_many(keys)
-        store_bench[store.backend] = {
-            "warm_bulk_read_seconds": round(time.perf_counter() - t0, 4),
-            "hits": len(found),
-        }
-        assert len(found) == len(set(keys))
-    # Identical bytes from both backends, key by key.
-    json_payloads = ResultCache(tmp_path / "cache").get_many(keys)
-    sqlite_payloads = sqlite_store.get_many(keys)
-    for key in json_payloads:
-        assert canonical_json(json_payloads[key]) == canonical_json(
-            sqlite_payloads[key]
-        )
-
-    sqlite_runner = PoolRunner(max_workers=workers, cache=sqlite_store)
-    sqlite_seconds, sqlite_warm = timed(sqlite_runner, cells)
-    assert serial_bytes == [canonical_json(o.payload) for o in sqlite_warm]
-    assert sqlite_runner.last_stats.simulated == 0
-    assert sqlite_runner.last_stats.cache_hits == len(cells)
-
     cpus = os.cpu_count() or 1
     report = {
         "grid": "fig7-crosspoints",
@@ -136,15 +101,12 @@ def test_runner_scaling(benchmark, artifact, tmp_path):
             "cold": parallel_runner.cache.stats.as_dict(),
             "warm": warm_runner.cache.stats.as_dict(),
         },
-        "store_backends": {
-            **store_bench,
-            "sqlite_warm_grid_seconds": round(sqlite_seconds, 4),
-            "migrated_entries": migrated,
-            "payloads_identical": True,
-        },
         "env": {
             "REPRO_JOBS": os.environ.get("REPRO_JOBS", ""),
             "cpu_count": cpus,
+            "python": platform.python_version(),
+            "sqlite": sqlite3.sqlite_version,
+            "machine": platform.machine(),
         },
     }
     single_core_note = (

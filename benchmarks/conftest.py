@@ -9,7 +9,9 @@ inspectable artifacts.  Environment knobs:
 * ``REPRO_JOBS=N``  — fan simulation cells out across N worker
   processes (default 1 = serial; results are byte-identical either way);
 * ``REPRO_CACHE=1`` — reuse cached cell results across benchmark runs
-  (off by default so a benchmark always measures real simulations).
+  through the result store (``$REPRO_CACHE_DIR/results.sqlite``, default
+  ``.repro-cache/``); off by default so a benchmark always measures real
+  simulations.
 """
 
 from __future__ import annotations

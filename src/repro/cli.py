@@ -23,8 +23,8 @@ Commands map one-to-one onto the paper's artifacts:
 * ``resilience``   — replay the trace on Hybrid/THadoop/RHadoop under a
   fault plan (see docs/FAULTS.md) and compare the degradation.
 * ``cache``        — inspect, migrate, vacuum or clear the on-disk
-  result cache (json or sqlite backend; holes — cached infeasible cells
-  — are listed with the reason they failed).
+  result cache (holes — cached infeasible cells — are listed with the
+  reason they failed).
 * ``serve``        — the always-on deployment daemon: streaming NDJSON
   job admission over HTTP with live Algorithm-1 routing, backpressure
   and checkpoint/restore (see docs/SERVICE.md).
@@ -51,10 +51,10 @@ Parallelism and caching: every cell-grid command (``sweep``,
 ``crosspoints``, ``replay``, ``figures``, ``resilience``) takes
 ``--workers N``; on ``sweep``/``crosspoints``, ``--jobs N`` survives as
 a hidden alias for one release (on the other three it already means
-trace-job count).  All cache cell results under ``.repro-cache/``
-(``$REPRO_CACHE_DIR`` overrides) so re-runs only simulate changed
-cells; ``--no-cache`` disables that.  Parallel results are
-byte-identical to serial ones.
+trace-job count).  All cache cell results in
+``.repro-cache/results.sqlite`` (``$REPRO_CACHE_DIR`` overrides the
+directory) so re-runs only simulate changed cells; ``--no-cache``
+disables that.  Parallel results are byte-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ def _runner_options(*, alias_jobs: bool = False) -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="recompute every cell; skip the on-disk result cache",
     )
-    parent.add_argument(
-        "--store", choices=("json", "sqlite"), default=None,
-        help="result-store backend (default: $REPRO_CACHE_BACKEND or "
-             "json; see docs/RUNNER.md)",
-    )
     return parent
 
 
@@ -195,14 +190,11 @@ def _load_calibration(args: argparse.Namespace) -> Calibration:
     return DEFAULT_CALIBRATION
 
 
-def _make_runner(
-    workers: int, no_cache: bool, store: Optional[str] = None
-) -> PoolRunner:
+def _make_runner(workers: int, no_cache: bool) -> PoolRunner:
     """The experiment runner a command asked for (see repro.runner)."""
-    from repro.runner.store import open_result_store
-
-    cache = None if no_cache else open_result_store(store)
-    return PoolRunner(max_workers=workers, cache=cache)
+    return PoolRunner(
+        max_workers=workers, cache=None if no_cache else ResultCache()
+    )
 
 
 def _print_runner_stats(runner: PoolRunner) -> None:
@@ -273,7 +265,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sizes = [parse_size(s) for s in args.sizes.split(",")]
     else:
         sizes = DFSIO_SIZES if app.name == "testdfsio-write" else SHUFFLE_APP_SIZES
-    runner = _make_runner(args.workers, args.no_cache, args.store)
+    runner = _make_runner(args.workers, args.no_cache)
     panels = measurement_panels(app, sizes, seed=args.seed, runner=runner)
     for key in ("execution", "map", "shuffle", "reduce"):
         panel = panels[key]
@@ -286,7 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_crosspoints(args: argparse.Namespace) -> int:
     from repro.analysis.asciichart import render_chart
 
-    runner = _make_runner(args.workers, args.no_cache, args.store)
+    runner = _make_runner(args.workers, args.no_cache)
     fig7 = fig7_crosspoints(sizes=FIG7_SIZES, runner=runner)
     print(render_series(fig7.sizes, fig7.series, title=fig7.title))
     print()
@@ -336,7 +328,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _make_runner(args.workers, args.no_cache, args.store)
+    runner = _make_runner(args.workers, args.no_cache)
 
     def dump(name: str, payload: dict, text: str) -> None:
         (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=1))
@@ -413,7 +405,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.runner.spec import canonical_json
     from repro.tune import DEFAULT_PHASES, MixPhase, evaluate_policies
 
-    runner = _make_runner(args.workers, args.no_cache, args.store)
+    runner = _make_runner(args.workers, args.no_cache)
     phases = tuple(
         MixPhase(p.name, p.apps, args.jobs_per_phase or p.jobs,
                  p.min_gb, p.max_gb, p.interarrival)
@@ -462,7 +454,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     tracer = Tracer() if args.trace_out else None
     metrics = MetricsRegistry() if args.metrics_out else None
-    runner = _make_runner(args.workers, args.no_cache, args.store)
+    runner = _make_runner(args.workers, args.no_cache)
     fault_plan = FaultPlan.load(args.faults) if args.faults else None
     outcome = fig10_trace_replay(
         num_jobs=args.jobs, seed=args.seed, tracer=tracer, metrics=metrics,
@@ -608,7 +600,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     if args.save_plan:
         path = fault_plan.save(args.save_plan)
         print(f"fault plan ({fault_plan.describe()}) written to {path}\n")
-    runner = _make_runner(args.workers, args.no_cache, args.store)
+    runner = _make_runner(args.workers, args.no_cache)
     report = resilience_experiment(
         num_jobs=args.jobs,
         seed=args.seed,
@@ -674,45 +666,32 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.runner.store import (
-        SqliteResultCache,
-        migrate_json_tree,
-        open_result_store,
-        store_report,
-    )
+    from repro.runner.store import migrate_json_tree, store_report
 
     root = Path(args.dir) if args.dir else default_cache_root()
-    store = open_result_store(args.store, root=root)
-    location = store.info().root
+    store = ResultCache(root)
+    location = store.path
     if args.clear:
         removed = store.clear()
         print(f"cleared {removed} cached result(s) from {location}")
         return 0
     if args.action == "migrate":
-        source = ResultCache(root)
-        target = (
-            store
-            if isinstance(store, SqliteResultCache)
-            else open_result_store("sqlite", root=root)
-        )
-        assert isinstance(target, SqliteResultCache)
-        imported = migrate_json_tree(source, target)
+        imported = migrate_json_tree(root, store)
         print(
             f"migrated {imported} entr{'y' if imported == 1 else 'ies'} "
-            f"from {root} into {target.path} "
-            f"({len(target)} total in the sqlite store)"
+            f"from {root} into {location} ({len(store)} total in the store)"
         )
         return 0
     if args.action == "vacuum":
         before, after = store.vacuum()
         print(
-            f"vacuumed {args.store or store.backend} store at {location}: "
+            f"vacuumed store at {location}: "
             f"{format_size(before)} -> {format_size(after)}"
         )
         return 0
     if args.action == "stats":
         report = store_report(store)
-        print(f"{report['backend']} store at {report['location']}: "
+        print(f"store at {report['location']}: "
               f"{report['entries']} entries, "
               f"{format_size(report['total_bytes'])} on disk")
         rows = [[kind, count] for kind, count in report["by_kind"].items()]
@@ -1067,16 +1046,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("show", "stats", "vacuum", "migrate"),
                        help="show the inventory (default), print compact "
                             "stats (holes by error type), compact the "
-                            "store, or import the sharded JSON tree into "
-                            "the sqlite store byte-identically")
+                            "store, or import a legacy ab/<key>.json tree "
+                            "under the cache directory byte-identically")
     cache.add_argument("--dir", metavar="PATH",
                        help="cache directory (default: .repro-cache or "
                             "$REPRO_CACHE_DIR)")
     cache.add_argument("--clear", action="store_true",
                        help="delete every cached entry")
-    cache.add_argument("--store", choices=("json", "sqlite"), default=None,
-                       help="result-store backend to operate on (default: "
-                            "$REPRO_CACHE_BACKEND or json)")
 
     serve = sub.add_parser(
         "serve",

@@ -6,8 +6,9 @@ is the backbone that exploits that:
 
 * :class:`CellSpec` / :class:`ExperimentSpec` — picklable,
   content-addressed descriptions of one simulation / one batch;
-* :class:`ResultCache` — on-disk JSON cache keyed by content hash, so a
-  re-run only simulates changed cells;
+* :class:`ResultCache` — on-disk result store keyed by content hash
+  (one WAL-mode sqlite file under the cache root), so a re-run only
+  simulates changed cells;
 * :class:`PoolRunner` — process-pool execution with per-cell timeouts,
   bounded retries, and graceful serial fallback.  Parallel results are
   byte-identical to serial ones (pinned by
@@ -33,16 +34,13 @@ from repro.runner.cache import (
     CacheInfo,
     CacheStats,
     DEFAULT_CACHE_DIR,
+    SQLITE_STORE_NAME,
     ResultCache,
-    ResultStore,
     default_cache_root,
 )
 from repro.runner.pool import CellOutcome, PoolRunner, RunStats, raise_on_failure
 from repro.runner.store import (
-    SQLITE_STORE_NAME,
-    STORE_BACKENDS,
     SqliteResultCache,
-    default_sqlite_path,
     migrate_json_tree,
     open_result_store,
     store_report,
@@ -77,10 +75,8 @@ __all__ = [
     "ExperimentSpec",
     "PoolRunner",
     "ResultCache",
-    "ResultStore",
     "RunStats",
     "SQLITE_STORE_NAME",
-    "STORE_BACKENDS",
     "SqliteResultCache",
     "canonical_json",
     "cell_job_id",
@@ -88,7 +84,6 @@ __all__ = [
     "decode_replay_results",
     "decode_result",
     "default_cache_root",
-    "default_sqlite_path",
     "execute_cell",
     "execute_replay_observed",
     "isolated_cell",

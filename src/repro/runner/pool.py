@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RunnerError
-from repro.runner.cache import ResultStore
+from repro.runner.cache import ResultCache
 from repro.runner.spec import CellSpec, ExperimentSpec
 from repro.runner.work import execute_cell
 from repro.telemetry.bus import KIND_RUNNER, MetricsBus
@@ -139,7 +139,7 @@ class PoolRunner:
     def __init__(
         self,
         max_workers: int = 1,
-        cache: Optional[ResultStore] = None,
+        cache: Optional[ResultCache] = None,
         *,
         timeout: Optional[float] = None,
         retries: int = 2,
@@ -457,9 +457,7 @@ class PoolRunner:
                     "failures": stats.failures,
                     "retries": stats.retries,
                     "timeouts": stats.timeouts,
-                    "store": (
-                        self.cache.backend if self.cache is not None else None
-                    ),
+                    "store": "sqlite" if self.cache is not None else None,
                 },
             )
 

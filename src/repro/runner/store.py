@@ -1,366 +1,80 @@
-"""Scalable result stores: the sqlite backend and the backend registry.
+"""Opening, reporting on and importing into the result store.
 
-The sharded per-cell JSON tree (:class:`~repro.runner.cache.ResultCache`)
-is perfect for thousand-cell grids — atomic per-file writes, trivially
-inspectable — but a million-cell sweep turns it into a million inodes
-and a million ``open()`` calls per warm run.  :class:`SqliteResultCache`
-is the same contract behind one append-friendly file:
+:class:`~repro.runner.cache.ResultCache` is the runner's only result
+store.  This module holds what sits around it:
 
-* **identical interface** — ``get``/``put``/``get_many``/``put_many``/
-  ``entries``/``holes``/``info``/``stats``/``clear``; a
-  :class:`~repro.runner.pool.PoolRunner` takes either backend through
-  the :class:`~repro.runner.cache.ResultStore` protocol;
-* **identical bytes** — payloads are stored as canonical JSON and parse
-  back to exactly the dict the JSON backend returns, so cache keys,
-  ``CODE_SALT`` and every determinism pin carry over unchanged;
-* **bulk reads** — ``get_many`` resolves a whole grid in a handful of
-  chunked ``SELECT ... IN`` statements instead of one file open per
-  cell, which is what makes warm million-cell sweeps cheap;
-* **corruption-as-miss** — a malformed row is deleted and reported as a
-  miss; a corrupted *database file* is discarded wholesale and rebuilt
-  empty (the JSON tree's per-file rule, applied at the store level) —
-  never an error;
-* **WAL journaling** — readers never block the writer, so a live
-  dashboard can tail a store mid-sweep.
+* :func:`open_result_store` — the store under a cache root;
+* :func:`store_report` — the ``repro cache stats`` payload;
+* :func:`migrate_json_tree` — the one-shot importer behind
+  ``repro cache migrate`` for a cache written before the store moved to
+  sqlite, when every payload was its own ``<root>/ab/<key>.json`` file.
+  It imports byte-identically (same keys, same canonical payloads), so
+  ``CODE_SALT`` is untouched and a grid that was warm before the upgrade
+  is warm after it.
 
-``migrate_json_tree`` imports an existing sharded JSON cache
-byte-identically (same keys, same payloads), so a warm grid stays warm
-across the backend switch — ``repro cache migrate`` is the CLI face.
+``SqliteResultCache`` is the store's earlier name, bound to the same
+class object.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sqlite3
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError
 from repro.runner.cache import (
-    CacheInfo,
-    CacheStats,
+    SQLITE_STORE_NAME,
     ResultCache,
-    default_cache_root,
+    is_content_key,
 )
-from repro.runner.spec import canonical_json
 
-#: Database filename inside the cache root (both backends share a root).
-SQLITE_STORE_NAME = "results.sqlite"
+SqliteResultCache = ResultCache
 
-#: Known store backends (``--store`` / ``$REPRO_CACHE_BACKEND`` values).
-STORE_BACKENDS = ("json", "sqlite")
-
-#: Keys per ``SELECT ... IN`` chunk (SQLite's default variable cap is
-#: 999; stay comfortably below it).
-_SELECT_CHUNK = 500
+#: Legacy entries imported per transaction.
+_MIGRATE_BATCH = 1000
 
 
-def default_sqlite_path() -> Path:
-    """The sqlite store inside the default cache root."""
-    return default_cache_root() / SQLITE_STORE_NAME
+def open_result_store(root: Optional[Union[Path, str]] = None) -> ResultCache:
+    """The result store under ``root`` (default: ``$REPRO_CACHE_DIR`` or
+    ``./.repro-cache``)."""
+    return ResultCache(root)
 
 
-class SqliteResultCache:
-    """Content-addressed result store in a single sqlite database.
+def migrate_json_tree(root: Union[Path, str], target: ResultCache) -> int:
+    """Import a legacy ``<root>/ab/<key>.json`` tree into ``target``.
 
-    Drop-in for :class:`~repro.runner.cache.ResultCache`: same payload
-    schema, same validation, same corruption-as-miss semantics, same
-    ``stats`` counters — plus true bulk ``get_many``/``put_many``.
+    The tree is only read.  Each file is validated like a stored row: a
+    name that is not a content key, unreadable JSON or a payload with the
+    wrong schema is skipped.  Re-running is idempotent (last write wins
+    with the same bytes).  Returns the number of entries written.
     """
-
-    backend = "sqlite"
-
-    def __init__(self, path: Optional[Union[Path, str]] = None) -> None:
-        self.path = Path(path) if path is not None else default_sqlite_path()
-        self.stats = CacheStats()
-        self._conn: Optional[sqlite3.Connection] = None
-
-    # -- connection management --------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        if self._conn is not None:
-            return self._conn
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path))
+    before = target.stats.writes
+    pending: List[Tuple[str, Dict[str, Any]]] = []
+    for path in sorted(Path(root).glob("??/*.json")):
+        key = path.stem
+        if not is_content_key(key) or path.parent.name != key[:2]:
+            continue
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
-                " key TEXT PRIMARY KEY,"
-                " kind TEXT NOT NULL,"
-                " status TEXT NOT NULL,"
-                " error_type TEXT NOT NULL DEFAULT '',"
-                " payload TEXT NOT NULL)"
-            )
-            conn.commit()
-        except sqlite3.Error:
-            conn.close()
-            raise
-        self._conn = conn
-        return conn
-
-    def _reset_corrupt(self) -> None:
-        """Discard an unreadable database so the next write rebuilds it
-        (the JSON backend's discard-broken-file rule, store-wide)."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:  # pragma: no cover - defensive
-                pass
-            self._conn = None
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(f"{self.path}{suffix}")
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        """Close the connection (reopened lazily on next use)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    # -- read --------------------------------------------------------------
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload for ``key``, or None (miss)."""
-        found = self.get_many([key])
-        return found.get(key)
-
-    def get_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
-        """Bulk read: ``{key: payload}`` for every hit among ``keys``.
-
-        Misses are simply absent.  Malformed rows are deleted and count
-        as corrupt misses; an unreadable database empties itself and
-        every key misses.
-        """
-        wanted = list(dict.fromkeys(keys))
-        found: Dict[str, Dict[str, Any]] = {}
-        bad: List[str] = []
-        try:
-            conn = self._connect()
-            for start in range(0, len(wanted), _SELECT_CHUNK):
-                chunk = wanted[start:start + _SELECT_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                rows = conn.execute(
-                    f"SELECT key, payload FROM results WHERE key IN ({marks})",
-                    chunk,
-                ).fetchall()
-                for key, text in rows:
-                    try:
-                        payload = json.loads(text)
-                    except ValueError:
-                        bad.append(key)
-                        continue
-                    if ResultCache._valid(payload):
-                        found[key] = payload
-                    else:
-                        bad.append(key)
-            if bad:
-                conn.executemany(
-                    "DELETE FROM results WHERE key = ?", [(k,) for k in bad]
-                )
-                conn.commit()
-        except sqlite3.Error:
-            self._reset_corrupt()
-            self.stats.corrupt += 1
-            self.stats.misses += len(wanted)
-            return {}
-        self.stats.hits += len(found)
-        self.stats.corrupt += len(bad)
-        self.stats.misses += len(wanted) - len(found)
-        return found
-
-    # -- write -------------------------------------------------------------
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store ``payload`` under ``key`` (last write wins)."""
-        self.put_many([(key, payload)])
-
-    def put_many(
-        self, items: Iterable[Tuple[str, Dict[str, Any]]]
-    ) -> None:
-        """Bulk write in one transaction."""
-        rows = [
-            (
-                key,
-                str(payload.get("kind", "?")),
-                str(payload.get("status", "?")),
-                str(payload.get("error_type", "") or ""),
-                canonical_json(payload),
-            )
-            for key, payload in items
-        ]
-        if not rows:
-            return
-        try:
-            conn = self._connect()
-            conn.executemany(
-                "INSERT OR REPLACE INTO results"
-                " (key, kind, status, error_type, payload)"
-                " VALUES (?, ?, ?, ?, ?)",
-                rows,
-            )
-            conn.commit()
-        except sqlite3.Error:
-            # A store that cannot persist behaves like no cache at all:
-            # the recompute path still works, nothing raises.
-            self._reset_corrupt()
-            self.stats.corrupt += 1
-            return
-        self.stats.writes += len(rows)
-
-    # -- inspection / maintenance -----------------------------------------
-
-    def entries(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Iterate ``(key, payload)`` over every readable entry."""
-        try:
-            rows = self._connect().execute(
-                "SELECT key, payload FROM results ORDER BY key"
-            ).fetchall()
-        except sqlite3.Error:
-            return
-        for key, text in rows:
-            try:
-                payload = json.loads(text)
-            except ValueError:
-                continue
-            if ResultCache._valid(payload):
-                yield key, payload
-
-    def holes(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Iterate the infeasible entries (see :meth:`ResultCache.holes`)."""
-        for key, payload in self.entries():
-            if payload.get("status") == "infeasible":
-                yield key, payload
-
-    def __len__(self) -> int:
-        try:
-            row = self._connect().execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()
-        except sqlite3.Error:
-            return 0
-        return int(row[0])
-
-    def size_bytes(self) -> int:
-        """Bytes on disk (main database file plus any WAL)."""
-        total = 0
-        for suffix in ("", "-wal"):
-            try:
-                total += os.stat(f"{self.path}{suffix}").st_size
-            except OSError:
-                pass
-        return total
-
-    def info(self) -> CacheInfo:
-        """Inventory snapshot, shaped like the JSON backend's."""
-        info = CacheInfo(root=str(self.path))
-        try:
-            rows = self._connect().execute(
-                "SELECT kind, status, COUNT(*) FROM results"
-                " GROUP BY kind, status"
-            ).fetchall()
-        except sqlite3.Error:
-            return info
-        for kind, status, count in rows:
-            info.entries += int(count)
-            info.by_kind[kind] = info.by_kind.get(kind, 0) + int(count)
-            info.by_status[status] = info.by_status.get(status, 0) + int(count)
-        info.total_bytes = self.size_bytes()
-        return info
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many rows were removed."""
-        try:
-            conn = self._connect()
-            removed = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-            conn.execute("DELETE FROM results")
-            conn.commit()
-        except sqlite3.Error:
-            self._reset_corrupt()
-            return 0
-        return int(removed)
-
-    def vacuum(self) -> Tuple[int, int]:
-        """Compact the database; returns ``(bytes_before, bytes_after)``."""
-        before = self.size_bytes()
-        try:
-            conn = self._connect()
-            conn.execute("VACUUM")
-            # VACUUM writes through the WAL; truncate it afterwards so
-            # the reported size is the compacted main file alone.
-            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            conn.commit()
-        except sqlite3.Error:
-            self._reset_corrupt()
-        return before, self.size_bytes()
+            payload = ResultCache._decode(path.read_text())
+        except (OSError, UnicodeDecodeError):
+            continue
+        if payload is not None:
+            pending.append((key, payload))
+        if len(pending) >= _MIGRATE_BATCH:
+            target.put_many(pending)
+            pending = []
+    target.put_many(pending)
+    return target.stats.writes - before
 
 
-#: Either result-store backend (see also cache.ResultStore protocol).
-AnyResultStore = Union[ResultCache, SqliteResultCache]
-
-
-def open_result_store(
-    backend: Optional[str] = None,
-    root: Optional[Union[Path, str]] = None,
-) -> AnyResultStore:
-    """Open the result store for ``backend`` under ``root``.
-
-    ``backend`` defaults to ``$REPRO_CACHE_BACKEND`` (then ``"json"``);
-    ``root`` defaults to the shared cache root (``$REPRO_CACHE_DIR`` or
-    ``./.repro-cache``).  Both backends live under the same root: the
-    JSON tree as sharded files, the sqlite store as
-    ``<root>/results.sqlite``.
-    """
-    chosen = backend or os.environ.get("REPRO_CACHE_BACKEND") or "json"
-    base = Path(root) if root is not None else default_cache_root()
-    if chosen == "json":
-        return ResultCache(base)
-    if chosen == "sqlite":
-        return SqliteResultCache(base / SQLITE_STORE_NAME)
-    raise ConfigurationError(
-        f"unknown result-store backend {chosen!r} "
-        f"(choose from {list(STORE_BACKENDS)})"
-    )
-
-
-def migrate_json_tree(
-    source: ResultCache, target: SqliteResultCache
-) -> int:
-    """Import every valid entry of a sharded JSON cache into the sqlite
-    store, byte-identically: same keys (``CODE_SALT`` untouched), same
-    canonical payloads, so a grid that was warm before the migration is
-    warm after it.  Re-running is idempotent (last write wins with the
-    same bytes).  Returns the number of entries imported; corrupt JSON
-    files are skipped exactly as the JSON backend would skip them.
-    """
-    imported = 0
-    batch: List[Tuple[str, Dict[str, Any]]] = []
-    for key, payload in source.entries():
-        batch.append((key, payload))
-        if len(batch) >= 1000:
-            target.put_many(batch)
-            imported += len(batch)
-            batch = []
-    if batch:
-        target.put_many(batch)
-        imported += len(batch)
-    return imported
-
-
-def store_report(store: AnyResultStore) -> Dict[str, Any]:
-    """The ``repro cache stats`` payload for one backend: entry counts
-    by kind and status, hole counts by ``error_type``, bytes on disk."""
+def store_report(store: ResultCache) -> Dict[str, Any]:
+    """The ``repro cache stats`` payload: entry counts by kind and
+    status, hole counts by ``error_type``, bytes on disk."""
     info = store.info()
     holes_by_error: Dict[str, int] = {}
     for _, payload in store.holes():
         error_type = str(payload.get("error_type", "?") or "?")
         holes_by_error[error_type] = holes_by_error.get(error_type, 0) + 1
     return {
-        "backend": store.backend,
         "location": info.root,
         "entries": info.entries,
         "total_bytes": info.total_bytes,
@@ -371,11 +85,8 @@ def store_report(store: AnyResultStore) -> Dict[str, Any]:
 
 
 __all__ = [
-    "AnyResultStore",
     "SQLITE_STORE_NAME",
-    "STORE_BACKENDS",
     "SqliteResultCache",
-    "default_sqlite_path",
     "migrate_json_tree",
     "open_result_store",
     "store_report",

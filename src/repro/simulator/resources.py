@@ -1,12 +1,10 @@
-"""Resource primitives: FIFO slot pools and processor-sharing bandwidth.
+"""Resource primitive: processor-sharing bandwidth.
 
-These two primitives carry the paper's whole performance story:
-
-* **Slots** (map/reduce slots per machine) limit task parallelism; the
-  resulting task *waves* are why scale-out wins for large inputs.
-* **Shared bandwidth** (a local disk shared by co-resident tasks, the OFS
-  storage servers shared by the whole cluster, a RAMdisk) is why up-HDFS
-  collapses at large inputs and why shuffle is always faster on scale-up.
+**Shared bandwidth** (a local disk shared by co-resident tasks, the OFS
+storage servers shared by the whole cluster, a RAMdisk) is why up-HDFS
+collapses at large inputs and why shuffle is always faster on scale-up.
+(Task slots, whose waves are why scale-out wins for large inputs, are
+the jobtracker's queues: :mod:`repro.mapreduce.queues`.)
 
 :class:`FairShareResource` implements max–min fair sharing with per-flow
 rate caps via progressive filling, re-evaluated on every flow arrival or
@@ -17,7 +15,6 @@ sequential I/O streams over one device/array.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -34,72 +31,6 @@ def _done(flow: "Flow") -> bool:
     return flow.remaining <= max(
         _COMPLETION_EPSILON, _RELATIVE_EPSILON * flow.total_bytes
     )
-
-
-class SlotPool:
-    """A counted resource with FIFO admission, e.g. a cluster's map slots.
-
-    Requests are callbacks: ``request(fn)`` invokes ``fn()`` immediately if
-    a slot is free, otherwise queues it.  ``release()`` hands the slot to
-    the oldest waiter.  FIFO matches Hadoop 1.x's default scheduler, which
-    the paper uses ("we ran the Facebook workload consecutively ... based
-    on the job arrival time").
-    """
-
-    def __init__(self, sim: Simulation, capacity: int, name: str = "slots") -> None:
-        if capacity <= 0:
-            raise SimulationError(f"slot pool {name!r} needs capacity >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiters: deque[Callable[[], None]] = deque()
-        # busy-time integral for utilization reporting
-        self._busy_integral = 0.0
-        self._last_change = sim.now
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_integral += self.in_use * (now - self._last_change)
-        self._last_change = now
-
-    def request(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` once a slot is held.  The slot is held until release()."""
-        if self.in_use < self.capacity:
-            self._account()
-            self.in_use += 1
-            fn()
-        else:
-            self._waiters.append(fn)
-
-    def release(self) -> None:
-        """Return a slot; wakes the oldest waiter, if any."""
-        if self.in_use <= 0:
-            raise SimulationError(f"release on idle slot pool {self.name!r}")
-        if self._waiters:
-            # Slot changes hands without ever becoming free; in_use unchanged.
-            fn = self._waiters.popleft()
-            fn()
-        else:
-            self._account()
-            self.in_use -= 1
-
-    @property
-    def queued(self) -> int:
-        """Requests waiting for a slot."""
-        return len(self._waiters)
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.in_use
-
-    def utilization(self) -> float:
-        """Mean fraction of slots busy since the simulation started."""
-        self._account()
-        elapsed = self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.capacity)
 
 
 class Flow:

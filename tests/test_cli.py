@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.runner import ResultCache
 
 
 @pytest.fixture(autouse=True)
@@ -141,34 +144,40 @@ class TestCache:
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "json store" in out and "4 entries" in out
+        assert "results.sqlite" in out and "4 entries" in out
 
-    def test_migrate_then_sqlite_grid_is_warm(self, capsys):
+    def test_migrate_then_sqlite_grid_is_warm(self, tmp_path, capsys):
+        # A legacy cache kept one ab/<key>.json file per cell.  Rebuild
+        # one from a cold sweep's payloads, then empty the store.
         assert main(["sweep", "--app", "grep", "--sizes", "1GB"]) == 0
+        capsys.readouterr()
+        root = tmp_path / "repro-cache"
+        for key, payload in ResultCache(root).entries():
+            path = root / key[:2] / f"{key}.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(payload, sort_keys=True))
+        assert main(["cache", "--clear"]) == 0
         capsys.readouterr()
         assert main(["cache", "migrate"]) == 0
         assert "migrated 4 entries" in capsys.readouterr().out
         # The migrated store serves the same grid without simulating.
-        assert main(["sweep", "--app", "grep", "--sizes", "1GB",
-                     "--store", "sqlite"]) == 0
+        assert main(["sweep", "--app", "grep", "--sizes", "1GB"]) == 0
         out = capsys.readouterr().out
         assert "4 cached" in out and "0 simulated" in out
 
     def test_vacuum_reports_sizes(self, capsys):
-        assert main(["sweep", "--app", "grep", "--sizes", "1GB",
-                     "--store", "sqlite"]) == 0
+        assert main(["sweep", "--app", "grep", "--sizes", "1GB"]) == 0
         capsys.readouterr()
-        assert main(["cache", "vacuum", "--store", "sqlite"]) == 0
-        assert "vacuumed sqlite store" in capsys.readouterr().out
+        assert main(["cache", "vacuum"]) == 0
+        assert "vacuumed store" in capsys.readouterr().out
 
-    def test_sqlite_store_flag_round_trips(self, capsys):
-        assert main(["sweep", "--app", "grep", "--sizes", "1GB",
-                     "--store", "sqlite"]) == 0
+    def test_sqlite_store_round_trips(self, capsys):
+        assert main(["sweep", "--app", "grep", "--sizes", "1GB"]) == 0
         capsys.readouterr()
-        assert main(["cache", "--store", "sqlite"]) == 0
+        assert main(["cache"]) == 0
         out = capsys.readouterr().out
         assert "results.sqlite" in out and "4 entries" in out
-        assert main(["cache", "--store", "sqlite", "--clear"]) == 0
+        assert main(["cache", "--clear"]) == 0
         assert "cleared 4" in capsys.readouterr().out
 
 

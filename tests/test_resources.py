@@ -1,62 +1,10 @@
-"""Tests for slot pools and processor-sharing bandwidth resources."""
+"""Tests for processor-sharing bandwidth resources."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.simulator import FairShareResource, Simulation, SlotPool
-
-
-class TestSlotPool:
-    def test_grants_immediately_when_free(self):
-        sim = Simulation()
-        pool = SlotPool(sim, 2)
-        granted = []
-        pool.request(lambda: granted.append(sim.now))
-        assert granted == [0.0]
-        assert pool.in_use == 1
-        assert pool.free == 1
-
-    def test_queues_when_full_fifo(self):
-        sim = Simulation()
-        pool = SlotPool(sim, 1)
-        order = []
-        pool.request(lambda: order.append("first"))
-        pool.request(lambda: order.append("second"))
-        pool.request(lambda: order.append("third"))
-        assert order == ["first"]
-        assert pool.queued == 2
-        pool.release()
-        assert order == ["first", "second"]
-        pool.release()
-        assert order == ["first", "second", "third"]
-
-    def test_handoff_keeps_slot_busy(self):
-        sim = Simulation()
-        pool = SlotPool(sim, 1)
-        pool.request(lambda: None)
-        pool.request(lambda: None)
-        pool.release()  # hands directly to the waiter
-        assert pool.in_use == 1
-
-    def test_release_idle_raises(self):
-        sim = Simulation()
-        pool = SlotPool(sim, 1)
-        with pytest.raises(SimulationError):
-            pool.release()
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(SimulationError):
-            SlotPool(Simulation(), 0)
-
-    def test_utilization_integral(self):
-        sim = Simulation()
-        pool = SlotPool(sim, 2)
-        pool.request(lambda: None)  # 1 of 2 busy from t=0
-        sim.schedule(10.0, pool.release)
-        sim.run()
-        assert sim.now == 10.0
-        assert pool.utilization() == pytest.approx(0.5)
+from repro.simulator import FairShareResource, Simulation
 
 
 class TestFairShareBasics:

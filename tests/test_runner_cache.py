@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -21,6 +22,15 @@ def ok_payload(value: float = 1.0) -> dict:
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
+
+
+def write_row(cache: ResultCache, key: str, text: str) -> None:
+    """Store ``text`` as ``key``'s payload behind the cache's back."""
+    cache.put(key, ok_payload())
+    conn = sqlite3.connect(str(cache.path))
+    with conn:
+        conn.execute("UPDATE results SET payload = ? WHERE key = ?", (text, key))
+    conn.close()
 
 
 class TestRoundTrip:
@@ -42,6 +52,11 @@ class TestRoundTrip:
     def test_keys_are_validated(self, cache):
         with pytest.raises(ValueError, match="content key"):
             cache.get("../../etc/passwd")
+        with pytest.raises(ValueError, match="content key"):
+            cache.get("abc123")  # hex, but shorter than 8 characters
+        with pytest.raises(ValueError, match="content key"):
+            cache.put("ABCDEF0123", ok_payload())
+        assert len(cache) == 0
 
     def test_infeasible_holes_are_cacheable(self, cache):
         hole = {"schema": CACHE_SCHEMA, "kind": "isolated",
@@ -53,43 +68,37 @@ class TestRoundTrip:
 class TestCorruptionRecovery:
     """A broken entry is a miss (and is discarded), never an error."""
 
-    def _entry_path(self, cache):
-        return cache.root / KEY_A[:2] / f"{KEY_A}.json"
-
     def test_truncated_file_is_a_miss_and_removed(self, cache):
-        cache.put(KEY_A, ok_payload())
-        path = self._entry_path(cache)
-        path.write_text(path.read_text()[:10])
+        cache.put_many([(f"{i:064x}", ok_payload(float(i))) for i in range(50)])
+        cache.close()
+        size = cache.path.stat().st_size
+        with open(cache.path, "r+b") as handle:
+            handle.truncate(size // 2)
         assert cache.get(KEY_A) is None
         assert cache.stats.corrupt == 1
-        assert not path.exists()
+        assert not cache.path.exists()
+        cache.put(KEY_A, ok_payload(2.0))
+        assert cache.get(KEY_A)["result"]["value"] == 2.0
 
     def test_non_json_garbage_is_a_miss(self, cache):
-        path = self._entry_path(cache)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"\x00\xff not json")
+        write_row(cache, KEY_A, "\x00\xff not json")
         assert cache.get(KEY_A) is None
         assert cache.stats.corrupt == 1
 
     def test_schema_mismatch_is_a_miss(self, cache):
         payload = ok_payload()
         payload["schema"] = CACHE_SCHEMA + 1
-        path = self._entry_path(cache)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(payload))
+        write_row(cache, KEY_A, json.dumps(payload))
         assert cache.get(KEY_A) is None
 
     def test_unknown_status_is_a_miss(self, cache):
         payload = ok_payload()
         payload["status"] = "maybe"
-        path = self._entry_path(cache)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(payload))
+        write_row(cache, KEY_A, json.dumps(payload))
         assert cache.get(KEY_A) is None
 
     def test_recompute_can_rewrite_after_corruption(self, cache):
-        cache.put(KEY_A, ok_payload(1.0))
-        self._entry_path(cache).write_text("garbage")
+        write_row(cache, KEY_A, "garbage")
         assert cache.get(KEY_A) is None
         cache.put(KEY_A, ok_payload(2.0))
         assert cache.get(KEY_A)["result"]["value"] == 2.0
@@ -122,5 +131,6 @@ class TestMaintenance:
     def test_default_root_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_root() == tmp_path / "elsewhere"
+        assert ResultCache().path == tmp_path / "elsewhere" / "results.sqlite"
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert str(default_cache_root()) == ".repro-cache"

@@ -1,14 +1,12 @@
 """Trace-scale replay bench: how fast can we retire a million jobs?
 
 Replays FB-2009 synthesized traces (same 6000-jobs/day arrival rate as
-the Section V replay, shrink factor 5) at growing scale through three
+the Section V replay, shrink factor 5) at growing scale through two
 configurations of the simulator:
 
-* ``heap``     — the reference kernel, full event-by-event simulation;
-* ``calendar`` — the calendar-queue kernel, full simulation (pinned
-  byte-identical to heap by ``tests/test_kernel_equivalence.py``; the
-  bench re-checks completion times anyway);
-* ``analytic`` — calendar kernel + the full-analytic fast path
+* ``heap``     — full event-by-event simulation on the engine's
+  binary-heap event queue;
+* ``analytic`` — the same engine with the full-analytic fast path
   (``FastPathPolicy.full_analytic()``): one completion event per job,
   fluid FIFO queueing, tolerance-validated — NOT byte-identical.
 
@@ -30,7 +28,7 @@ Usage::
 
 ``--budget N`` asserts total wall-clock stays under N seconds (the CI
 trace-scale-smoke job uses this).  The acceptance bar — the analytic
-mode must retire baseline event work at >=10x the heap kernel's
+mode must retire baseline event work at >=10x the full simulation's
 events/sec — is asserted on every run that includes the heap baseline.
 """
 
@@ -67,13 +65,12 @@ def build_jobs(num_jobs: int):
     return trace.to_jobspecs()
 
 
-def replay(jobs, kernel: str, fast: bool):
+def replay(jobs, fast: bool):
     policy = FastPathPolicy.full_analytic() if fast else None
     # ~200 events/job of headroom: a 1M-job full simulation is ~160M
     # events, past the engine's default runaway-chain valve.
     deployment = Deployment(
         hybrid(),
-        kernel=kernel,
         fast_path=policy,
         max_events=max(50_000_000, 500 * len(jobs)),
     )
@@ -128,8 +125,7 @@ def run_scale(num_jobs: int, modes) -> dict:
     baseline = None
     baseline_events = baseline_rate = None
     for mode in modes:
-        kernel = "heap" if mode == "heap" else "calendar"
-        wall, events, results = replay(jobs, kernel, fast=(mode == "analytic"))
+        wall, events, results = replay(jobs, fast=(mode == "analytic"))
         rate = events / wall
         stats = {
             "wall_seconds": round(wall, 2),
@@ -140,12 +136,6 @@ def run_scale(num_jobs: int, modes) -> dict:
         line = f"[{num_jobs:>9,} jobs] {mode:<8} {wall:9.2f}s  {events:>12,} events  {rate:>12,.0f} ev/s"
         if mode == "heap":
             baseline, baseline_events, baseline_rate = results, events, rate
-        elif mode == "calendar" and baseline is not None:
-            identical = [r.end_time for r in results] == [
-                r.end_time for r in baseline
-            ]
-            assert identical, "calendar kernel diverged from heap"
-            stats["identical_to_heap"] = identical
         elif mode == "analytic" and baseline is not None:
             equivalent_rate = baseline_events / wall
             speedup = equivalent_rate / baseline_rate
@@ -171,8 +161,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--modes",
-        default="heap,calendar,analytic",
-        help="comma-separated subset of heap,calendar,analytic",
+        default="heap,analytic",
+        help="comma-separated subset of heap,analytic",
     )
     parser.add_argument(
         "--budget",
@@ -189,7 +179,7 @@ def main(argv=None) -> int:
 
     scales = [int(s) for s in args.jobs.split(",")]
     modes = [m.strip() for m in args.modes.split(",")]
-    unknown = set(modes) - {"heap", "calendar", "analytic"}
+    unknown = set(modes) - {"heap", "analytic"}
     if unknown:
         parser.error(f"unknown modes: {sorted(unknown)}")
 

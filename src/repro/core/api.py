@@ -41,6 +41,7 @@ exported here is free to move between internal modules.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -149,8 +150,10 @@ class JobSubmission:
             raise ServiceError("job_id must be a non-empty string")
         for name in ("input_bytes", "shuffle_bytes", "output_bytes",
                      "arrival_time", "map_cpu_per_mb", "reduce_cpu_per_mb"):
-            if getattr(self, name) < 0:
-                raise ServiceError(f"{self.job_id}: {name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ServiceError(
+                    f"{self.job_id}: {name} must be finite and non-negative"
+                )
 
     #: Fields accepted on the wire (anything else is a schema error).
     _FIELDS = (

@@ -121,7 +121,6 @@ class Deployment:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional[FaultPlan] = None,
-        kernel: Optional[str] = None,
         fast_path: Optional["FastPathPolicy"] = None,
         max_events: Optional[int] = None,
         tuner: Optional["Tuner"] = None,
@@ -131,16 +130,13 @@ class Deployment:
     ) -> None:
         self.spec = spec
         self.calibration = calibration
-        #: Event-queue kernel ("heap"/"calendar"/None = $REPRO_KERNEL).
-        #: Pure speed knob — results are byte-identical either way
-        #: (docs/KERNEL.md), so it never participates in cache keys.
         #: ``max_events`` lifts the engine's runaway-chain safety valve
         #: for replays that legitimately exceed it (a 1M-job trace is
         #: ~160M events); ``None`` keeps the engine default.
         if max_events is not None:
-            self.sim = Simulation(max_events=max_events, kernel=kernel)
+            self.sim = Simulation(max_events=max_events)
         else:
-            self.sim = Simulation(kernel=kernel)
+            self.sim = Simulation()
         self.sim.attach_telemetry(tracer, metrics)
         self.tracer = tracer
         self.metrics = metrics

@@ -31,6 +31,7 @@ its own lock, so concurrent clients are safe.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -224,8 +225,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError as exc:
             raise ServiceError(f"invalid JSON body: {exc.msg}") from exc
         until = payload.get("until") if isinstance(payload, dict) else None
-        if not isinstance(until, (int, float)) or isinstance(until, bool):
-            raise ServiceError('POST /advance needs {"until": <seconds>}')
+        if (
+            not isinstance(until, (int, float))
+            or isinstance(until, bool)
+            or not math.isfinite(until)
+        ):
+            raise ServiceError('POST /advance needs {"until": <finite seconds>}')
         clock = self.service.advance_until(float(until))
         self._send_json(200, {"clock": clock}, "/advance")
 

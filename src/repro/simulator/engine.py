@@ -1,59 +1,28 @@
 """Deterministic discrete-event simulation loop.
 
-The engine is intentionally tiny: an event queue of ``(time, seq,
-callback)`` entries and a clock.  Everything else (slots, bandwidth
-sharing, tasks, jobs) is built on top as ordinary Python objects that
-schedule callbacks.
-
-Two interchangeable event structures (*kernels*) sit behind the same
-``schedule``/``cancel`` API — see docs/KERNEL.md:
-
-* ``"heap"`` — a binary heap (:mod:`heapq`), the reference
-  implementation;
-* ``"calendar"`` — a calendar queue
-  (:class:`~repro.simulator.calqueue.CalendarQueue`), amortised O(1)
-  enqueue/dequeue for large resident event counts.
+The engine is intentionally tiny: a binary heap (:mod:`heapq`) of
+``(time, seq, callback)`` events and a clock.  Everything else (slots,
+bandwidth sharing, tasks, jobs) is built on top as ordinary Python
+objects that schedule callbacks.
 
 Determinism: events at equal times fire in scheduling order (the ``seq``
 tie-breaker), so two runs with the same inputs produce byte-identical
-results — *whichever kernel runs them*.  Both kernels yield the exact
-total order ``(time, seq)``; their equivalence is pinned by
-``tests/test_kernel_equivalence.py``, which is what lets the
-calibration tests pin exact cross points regardless of kernel choice.
+results.  That ``(time, seq)`` total order is pinned by
+``tests/test_engine.py`` and is what lets the calibration tests pin
+exact cross points (docs/KERNEL.md).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
+import math
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.simulator.calqueue import CalendarQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.metrics import MetricsRegistry
     from repro.telemetry.tracer import Tracer
-
-#: Supported event-queue kernels.
-KERNELS = ("heap", "calendar")
-
-#: Environment variable consulted when ``Simulation(kernel=None)``.
-KERNEL_ENV = "REPRO_KERNEL"
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The kernel to use: an explicit choice, else ``$REPRO_KERNEL``,
-    else the reference heap.  Unknown names raise
-    :class:`~repro.errors.SimulationError` (the env var too — a typo
-    silently falling back to the heap would defeat a benchmark)."""
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "") or "heap"
-    if kernel not in KERNELS:
-        raise SimulationError(
-            f"unknown simulation kernel {kernel!r}; choose from {KERNELS}"
-        )
-    return kernel
 
 
 class _Event:
@@ -76,27 +45,6 @@ class _Event:
         self.cancelled = True
 
 
-class _HeapQueue:
-    """The reference kernel: a binary heap ordered by ``(time, seq)``."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[_Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: _Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def peek(self) -> _Event:
-        return self._heap[0]
-
-    def pop(self) -> _Event:
-        return heapq.heappop(self._heap)
-
-
 class Simulation:
     """Event loop with a monotonically advancing clock.
 
@@ -106,22 +54,11 @@ class Simulation:
         Safety valve against runaway models.  The full FB-2009 replay is a
         few hundred thousand task events, so the default leaves ample head
         room while still catching accidental infinite event chains.
-    kernel:
-        Event-queue implementation: ``"heap"`` (reference) or
-        ``"calendar"`` (fast at scale).  ``None`` reads ``$REPRO_KERNEL``
-        and falls back to the heap.  Results are byte-identical either
-        way (docs/KERNEL.md), so the choice is purely about speed.
     """
 
-    def __init__(
-        self, max_events: int = 50_000_000, kernel: Optional[str] = None
-    ) -> None:
+    def __init__(self, max_events: int = 50_000_000) -> None:
         self.now: float = 0.0
-        #: The resolved kernel name ("heap" or "calendar").
-        self.kernel = resolve_kernel(kernel)
-        self._queue: Union[CalendarQueue[_Event], _HeapQueue] = (
-            CalendarQueue() if self.kernel == "calendar" else _HeapQueue()
-        )
+        self._heap: List[_Event] = []
         self._seq = 0
         self._processed = 0
         self._max_events = max_events
@@ -162,13 +99,13 @@ class Simulation:
 
     def schedule_at(self, time: float, fn: Callable[[], Any]) -> _Event:
         """Schedule ``fn`` at an absolute simulation time."""
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule into the past (t={time!r} < now={self.now!r})"
             )
         event = _Event(time, self._seq, fn)
         self._seq += 1
-        self._queue.push(event)
+        heapq.heappush(self._heap, event)
         return event
 
     def call_soon(self, fn: Callable[[], Any]) -> _Event:
@@ -181,19 +118,24 @@ class Simulation:
         """Process events until the queue is empty (or ``until`` is reached).
 
         Returns the final clock value.  Calling ``run`` again after adding
-        more events resumes from the current clock.
+        more events resumes from the current clock.  The clock never moves
+        backward: an ``until`` at or before ``now`` processes nothing and
+        returns ``now``.  A non-finite ``until`` is a
+        :class:`~repro.errors.SimulationError`.
         """
         if self._running:
             raise SimulationError("Simulation.run is not reentrant")
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(f"run(until=) must be finite, got {until!r}")
+        limit = math.inf if until is None else until
         self._running = True
-        queue = self._queue
+        heap = self._heap
         try:
-            while len(queue):
-                event = queue.peek()
-                if until is not None and event.time > until:
-                    self.now = until
+            while heap:
+                event = heap[0]
+                if event.time > limit:
                     break
-                queue.pop()
+                heapq.heappop(heap)
                 if event.cancelled:
                     continue
                 self._processed += 1
@@ -204,9 +146,8 @@ class Simulation:
                     )
                 self.now = event.time
                 event.fn()
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
         return self.now
@@ -225,10 +166,10 @@ class Simulation:
         if self._running:
             raise SimulationError("Simulation.step is not reentrant")
         self._running = True
-        queue = self._queue
+        heap = self._heap
         try:
-            while len(queue):
-                event = queue.pop()
+            while heap:
+                event = heapq.heappop(heap)
                 if event.cancelled:
                     continue
                 self._processed += 1
@@ -252,4 +193,4 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Events still queued, including cancelled placeholders."""
-        return len(self._queue)
+        return len(self._heap)

@@ -1,9 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import KERNELS, Simulation, resolve_kernel
+from repro.simulator import Simulation
 
 
 class TestScheduling:
@@ -52,6 +54,16 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    def test_rejects_nan_time(self):
+        """NaN compares false against everything; it must not slip past
+        the past-time check and poison the clock."""
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
 
     def test_rejects_negative_delay(self):
         sim = Simulation()
@@ -113,6 +125,40 @@ class TestRunUntil:
         sim.run(until=42.0)
         assert sim.now == 42.0
 
+    def test_until_in_the_past_never_rewinds(self):
+        sim = Simulation()
+        fired = []
+        sim.schedule_at(10.0, lambda: fired.append(10.0))
+        sim.schedule_at(20.0, lambda: fired.append(20.0))
+        assert sim.run(until=15.0) == 15.0
+        assert sim.run(until=5.0) == 15.0
+        assert sim.now == 15.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(7.0, lambda: fired.append(7.0))
+        sim.run()
+        assert fired == [10.0, 20.0]
+
+    def test_until_in_the_past_with_empty_queue(self):
+        sim = Simulation()
+        sim.run(until=15.0)
+        assert sim.run(until=5.0) == 15.0
+        assert sim.run(until=15.0) == 15.0
+        assert sim.events_processed == 0
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_until_rejected(self, until):
+        sim = Simulation()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(1.0))
+        sim.schedule_at(1e6, lambda: fired.append(1e6))
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert fired == []
+        assert sim.now == 0.0
+        sim.schedule_at(2.0, lambda: fired.append(2.0))
+        sim.run()
+        assert fired == [1.0, 2.0, 1e6]
+
 
 class TestSafety:
     def test_max_events_guard(self):
@@ -150,23 +196,22 @@ class TestSafety:
         assert sim.pending_events == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestSimultaneousEvents:
     """Tie-break contract: equal times fire in scheduling (seq) order,
-    on every kernel, even when the queue head gets cancelled."""
+    even when the queue head gets cancelled."""
 
-    def test_same_timestamp_fires_in_seq_order(self, kernel):
-        sim = Simulation(kernel=kernel)
+    def test_same_timestamp_fires_in_seq_order(self):
+        sim = Simulation()
         fired = []
         for tag in "abcde":
             sim.schedule_at(3.0, lambda t=tag: fired.append(t))
         sim.run()
         assert fired == list("abcde")
 
-    def test_cancel_head_of_simultaneous_group(self, kernel):
+    def test_cancel_head_of_simultaneous_group(self):
         """Cancelling the queue head (lowest seq of a same-time group)
         must not disturb the rest of the group's order."""
-        sim = Simulation(kernel=kernel)
+        sim = Simulation()
         fired = []
         head = sim.schedule_at(1.0, lambda: fired.append("head"))
         for tag in "abc":
@@ -177,10 +222,10 @@ class TestSimultaneousEvents:
         assert fired == ["early", "a", "b", "c"]
         assert sim.now == 1.0
 
-    def test_cancel_head_mid_run_from_earlier_event(self, kernel):
+    def test_cancel_head_mid_run_from_earlier_event(self):
         """A callback cancelling the next pending head: the cancelled
         event is skipped, its same-time peers still fire in order."""
-        sim = Simulation(kernel=kernel)
+        sim = Simulation()
         fired = []
         victim = sim.schedule_at(2.0, lambda: fired.append("victim"))
         sim.schedule_at(2.0, lambda: fired.append("peer"))
@@ -188,8 +233,8 @@ class TestSimultaneousEvents:
         sim.run()
         assert fired == ["peer"]
 
-    def test_cancelled_head_counts_as_pending_until_popped(self, kernel):
-        sim = Simulation(kernel=kernel)
+    def test_cancelled_head_counts_as_pending_until_popped(self):
+        sim = Simulation()
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(1.0, lambda: None)
         event.cancel()
@@ -198,10 +243,10 @@ class TestSimultaneousEvents:
         assert sim.pending_events == 0
         assert sim.events_processed == 1
 
-    def test_reentrant_same_time_scheduling_keeps_order(self, kernel):
+    def test_reentrant_same_time_scheduling_keeps_order(self):
         """call_soon from a callback lands after already-pending
-        same-time events (higher seq), on both kernels."""
-        sim = Simulation(kernel=kernel)
+        same-time events (higher seq)."""
+        sim = Simulation()
         fired = []
 
         def first():
@@ -214,25 +259,69 @@ class TestSimultaneousEvents:
         assert fired == ["first", "second", "nested"]
 
 
-class TestKernelSelection:
-    def test_default_is_heap(self):
-        assert Simulation().kernel == "heap"
+# -- property check over random schedules ---------------------------------
 
-    def test_explicit_kernel(self):
-        assert Simulation(kernel="calendar").kernel == "calendar"
 
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "calendar")
-        assert Simulation().kernel == "calendar"
-        assert resolve_kernel() == "calendar"
+def run_random_workload(seed: int):
+    """One randomized schedule/cancel/tie workload.
 
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "calendar")
-        assert Simulation(kernel="heap").kernel == "heap"
+    Returns the fired ``(time, seq)`` keys in firing order, the seqs of
+    handles cancelled while still queued, every handle scheduled, and
+    the engine.  The harness consumes its RNG inside callbacks too, so
+    the schedule depends on the order events actually fire in.
+    """
+    sim = Simulation()
+    rng = random.Random(seed)
+    fired = []
+    handles = []
+    cancelled = set()
 
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        with pytest.raises(SimulationError):
-            Simulation(kernel="fibonacci")
-        monkeypatch.setenv("REPRO_KERNEL", "calender")  # typo must not
-        with pytest.raises(SimulationError):  # silently mean "heap"
-            Simulation()
+    def cancel(handle):
+        if (handle.time, handle.seq) not in fired:
+            cancelled.add(handle.seq)
+        handle.cancel()
+
+    def schedule(time):
+        index = len(handles)
+
+        def fn():
+            handle = handles[index]
+            fired.append((handle.time, handle.seq))
+            roll = rng.random()
+            if roll < 0.25:
+                # Re-entrant: schedule more work from inside a callback,
+                # sometimes at the *current* instant (a same-time tie).
+                schedule(sim.now + rng.choice([0.0, 0.0, rng.random() * 7.0]))
+            elif roll < 0.40:
+                # Cancel a random handle — often the head.
+                cancel(rng.choice(handles))
+
+        handles.append(sim.schedule_at(time, fn))
+
+    for i in range(250):
+        # Mix continuous times with small integers to force collisions.
+        schedule(rng.choice(
+            [rng.random() * 100.0, float(rng.randrange(12)), 64.0 + i % 3]
+        ))
+    for _ in range(40):
+        cancel(rng.choice(handles))
+    # Exercise run(until), incremental admission, then drain with step().
+    sim.run(until=30.0)
+    schedule(55.0)
+    sim.run(until=70.0)
+    while sim.step():
+        pass
+    return fired, cancelled, handles, sim
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_schedules_keep_total_order(seed):
+    fired, cancelled, handles, sim = run_random_workload(seed)
+    # Strictly increasing (time, seq): no rewind, no duplicate, no reorder.
+    assert all(a < b for a, b in zip(fired, fired[1:]))
+    assert cancelled and len(fired) > 200
+    keys = set(fired)
+    for handle in handles:
+        assert ((handle.time, handle.seq) in keys) != (handle.seq in cancelled)
+    assert sim.events_processed == len(fired)
+    assert sim.pending_events == 0

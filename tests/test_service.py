@@ -309,6 +309,29 @@ class TestAdmissionEdges:
         assert dump["service"]["accepted"] == 0
         assert dump["service"]["pending"] == 0
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("field", [
+        "input_bytes", "shuffle_bytes", "output_bytes",
+        "arrival_time", "map_cpu_per_mb", "reduce_cpu_per_mb",
+    ])
+    def test_non_finite_field_rejects_batch(self, field, value):
+        """``json.loads`` accepts NaN/Infinity; neither may reach the
+        event queue, and the whole batch is refused like a torn line."""
+        good = json.dumps(JobSubmission(job_id="g", input_bytes=1).to_wire())
+        wire = JobSubmission(job_id="bad", input_bytes=1).to_wire()
+        wire[field] = float(value.replace("Infinity", "inf"))
+        text = good + "\n" + json.dumps(wire) + "\n"
+        assert value in text
+        report = validate_ndjson(text)
+        assert [lineno for lineno, _ in report.errors] == [2]
+        assert field in report.errors[0][1]
+        service = ReproService("Hybrid")
+        statuses, report = service.submit_ndjson(text)
+        assert not report.ok
+        assert statuses == []
+        assert service.job_status("g") is None
+        assert service.deployment.sim.pending_events == 0
+
     def test_rejection_counters_reconcile_with_instruments(self):
         service = ReproService(
             "Hybrid", policy=AdmissionPolicy(max_total_pending=5)
@@ -417,6 +440,13 @@ class TestHTTPSurface:
             "POST", "/advance", b'{"until": "soon"}'
         )
         assert status == 400
+        for bad in (b"NaN", b"Infinity", b"-Infinity"):
+            status, body = client._request(
+                "POST", "/advance", b'{"until": ' + bad + b"}"
+            )
+            assert status == 400, bad
+        # An until already in the past leaves the clock where it is.
+        assert client.advance(2.0)["clock"] == 5.0
 
     def test_unknown_route_is_404(self, server):
         status, _ = ServiceClient(server.url)._request("GET", "/nope")

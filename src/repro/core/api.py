@@ -396,7 +396,9 @@ class ServiceState:
     Because the simulation is deterministic, restoring replays the log
     on a fresh deployment and re-derives byte-identical results —
     ``clock``, ``finished`` and ``counters`` are carried for reporting
-    and consistency checks, not as execution state.
+    and consistency checks, not as execution state.  ``counters`` holds
+    every ``service.admission.*`` counter, keyed by the name after that
+    prefix (``accepted``, ``rejected.<reason>`` ...).
     """
 
     architecture: str
@@ -454,6 +456,12 @@ class ServiceState:
         counters = payload.get("counters", {})
         if not isinstance(counters, Mapping):
             raise ServiceError(f"{where}: field 'counters' must be an object")
+        for name, value in counters.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not 0 <= value < math.inf:
+                raise ServiceError(
+                    f"{where}: counter {name!r} must be a finite count >= 0"
+                )
         caps = {}
         for key in ("max_pending_per_member", "max_total_pending"):
             value = payload.get(key)

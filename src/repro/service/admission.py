@@ -29,7 +29,6 @@ from repro.errors import ServiceError
 REASON_MEMBER_FULL = "member_queue_full"
 REASON_SERVICE_FULL = "service_queue_full"
 REASON_DUPLICATE = "duplicate_job_id"
-REASON_DRAINING = "service_draining"
 #: Brownout shedding (docs/ELASTIC.md): healthy capacity dropped below a
 #: watermark and the job's shuffle footprint exceeds the level's shed
 #: threshold — resubmit once the cluster recovers.
@@ -49,13 +48,6 @@ class AdmissionPolicy:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ServiceError(f"{name} must be >= 1, got {value}")
-
-    @property
-    def bounded(self) -> bool:
-        return (
-            self.max_pending_per_member is not None
-            or self.max_total_pending is not None
-        )
 
 
 class AdmissionController:
@@ -124,7 +116,6 @@ class AdmissionController:
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "REASON_DRAINING",
     "REASON_DUPLICATE",
     "REASON_MEMBER_FULL",
     "REASON_SERVICE_FULL",

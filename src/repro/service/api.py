@@ -71,6 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tune.tuner import Tuner
 
 
+def _pick(mapping: Dict[str, Any], *keys: str) -> Dict[str, Any]:
+    return {key: mapping[key] for key in keys}
+
+
 def _resolve_architecture(
     architecture: Union[str, ArchitectureSpec]
 ) -> Tuple[str, ArchitectureSpec]:
@@ -182,8 +186,8 @@ class ReproService:
         self._admission = AdmissionController(
             self.policy, members=len(self.deployment.trackers)
         )
+        #: Admission log: insertion order is admission order.
         self._records: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
         self._results_seen = 0
         self._lock = threading.RLock()
         self._store = (
@@ -265,7 +269,6 @@ class ReproService:
                 )
         record = JobRecord(submission, admitted_member=member)
         self._records[submission.job_id] = record
-        self._order.append(submission.job_id)
         job = submission.to_jobspec()
         when = job.arrival_time
         if when < self.deployment.sim.now:
@@ -294,7 +297,7 @@ class ReproService:
                 self._admit(s, count=True, forced=False)
                 for s in report.submissions
             ]
-            self._autocheckpoint()
+            self.checkpoint()
             self._publish_frame()
             return statuses, report
 
@@ -331,75 +334,70 @@ class ReproService:
         with self._lock:
             self.deployment.run()
             self._sync_results()
-            self._autocheckpoint()
+            self.checkpoint()
             self._publish_frame()
-            finished = sum(1 for r in self._records.values() if r.finished)
-            failed = sum(
-                1
-                for r in self._records.values()
-                if r.result is not None and r.result.failed
+            return _pick(
+                self.snapshot()["service"],
+                "accepted", "finished", "failed", "pending", "clock",
             )
-            return {
-                "accepted": len(self._order),
-                "finished": finished,
-                "failed": failed,
-                "pending": self.pending,
-                "clock": self.deployment.sim.now,
-            }
 
     # -- observation -------------------------------------------------------
 
+    def snapshot(self) -> Dict[str, Any]:
+        """Everything the service reports, read under the lock: the one
+        reader of its counters and of the deployment's health, capacity,
+        routing, elastic/fault and tuner state.  ``/metrics``,
+        ``/healthz``, ``/drain``, bus frames and checkpoint counters
+        are slices of it; counts are ints."""
+        with self._lock:
+            deployment, instruments = self.deployment, self.instruments
+            tuner = deployment.tuner
+            return {
+                "service": {
+                    "accepted": instruments.accepted_total,
+                    "rejected": instruments.rejected_total,
+                    "clamped": instruments.clamped_total,
+                    "finished": instruments.finished_total,
+                    "failed": instruments.failed_total,
+                    "pending": self.pending,
+                    "clock": deployment.sim.now,
+                },
+                "admission": instruments.admission_counts(),
+                "architecture": self.architecture,
+                "checkpoint": str(self._store.path) if self._store else None,
+                "capacity": {
+                    t.name: t.schedulable_nodes() for t in deployment.trackers
+                },
+                "faults": deployment.fault_summary(),
+                "elastic": deployment.elastic_summary(),
+                "routing": deployment.routing_summary(),
+                "tuning": tuner.summary() if tuner is not None else None,
+            }
+
     def _publish_frame(self) -> None:
-        """Snapshot the service onto the bus (no-op without one).
+        """Publish the snapshot's frame slice (no-op without a bus).
 
         Called with the service lock held, after every admission, clock
-        advance and drain.  Reads counters only — never touches the
-        simulation — so a bussed run stays byte-identical to a bare one
-        (pinned by ``tests/test_mission.py``).
+        advance and drain.  A bussed run stays byte-identical to a bare
+        one (pinned by ``tests/test_mission.py``).
         """
         if self.bus is None:
             return
-        deployment = self.deployment
-        tuner = deployment.tuner
-        self.bus.publish(
-            KIND_SERVICE,
-            deployment.sim.now,
-            {
-                "accepted": self.instruments.accepted_total,
-                "rejected": self.instruments.rejected_total,
-                "clamped": self.instruments.clamped_total,
-                "finished": self.instruments.finished_total,
-                "pending": self.pending,
-                "health": deployment.health_level(),
-                "healthy_fraction": deployment.healthy_fraction(),
-                "capacity": {
-                    tracker.name: tracker.schedulable_nodes()
-                    for tracker in deployment.trackers
-                },
-                "routing": deployment.routing_summary(),
-                "elastic": {
-                    "nodes_joined": sum(
-                        t.nodes_joined for t in deployment.trackers
-                    ),
-                    "nodes_decommissioned": sum(
-                        t.nodes_decommissioned for t in deployment.trackers
-                    ),
-                },
-                "tuning": (
-                    {
-                        "publishes": len(tuner.updates),
-                        "mape_after_last": (
-                            tuner.updates[-1].mape_after
-                            if tuner.updates
-                            else None
-                        ),
-                        "suspended": tuner.suspended,
-                    }
-                    if tuner is not None
-                    else None
-                ),
-            },
-        )
+        snap = self.snapshot()
+        service, elastic, tuning = snap["service"], snap["elastic"], snap["tuning"]
+        self.bus.publish(KIND_SERVICE, service["clock"], {
+            **_pick(
+                service, "accepted", "rejected", "clamped", "finished", "pending"
+            ),
+            **_pick(elastic, "health", "healthy_fraction"),
+            **_pick(snap, "capacity", "routing"),
+            "elastic": _pick(elastic, "nodes_joined", "nodes_decommissioned"),
+            "tuning": (
+                _pick(tuning, "publishes", "mape_after_last", "suspended")
+                if tuning is not None
+                else None
+            ),
+        })
 
     # -- introspection ----------------------------------------------------
 
@@ -420,62 +418,34 @@ class ReproService:
             return record.status() if record is not None else None
 
     def health(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "status": self.deployment.health_level(),
-                "healthy_fraction": self.deployment.healthy_fraction(),
-                "architecture": self.architecture,
-                "clock": self.deployment.sim.now,
-                "accepted": len(self._order),
-                "pending": self.pending,
-                "checkpoint": str(self._store.path) if self._store else None,
-            }
+        """The ``GET /healthz`` payload, a slice of :meth:`snapshot`."""
+        snap = self.snapshot()
+        return {
+            "status": snap["elastic"]["health"],
+            "healthy_fraction": snap["elastic"]["healthy_fraction"],
+            **_pick(snap, "architecture", "checkpoint"),
+            **_pick(snap["service"], "clock", "accepted", "pending"),
+        }
 
     def metrics_dump(self) -> Dict[str, Any]:
-        """The ``GET /metrics`` payload: both planes in one document."""
+        """The ``GET /metrics`` payload: the :meth:`snapshot` plus the
+        full registry (service and simulation planes) in one document."""
         with self._lock:
-            return {
-                "service": {
-                    "accepted": self.instruments.accepted_total,
-                    "rejected": self.instruments.rejected_total,
-                    "clamped": self.instruments.clamped_total,
-                    "finished": self.instruments.finished_total,
-                    "pending": float(self.pending),
-                    "clock": self.deployment.sim.now,
-                },
-                "faults": self.deployment.fault_summary(),
-                "elastic": self.deployment.elastic_summary(),
-                "routing": self.deployment.routing_summary(),
-                "tuning": (
-                    self.deployment.tuner.summary()
-                    if self.deployment.tuner is not None
-                    else None
-                ),
-                "metrics": self.metrics.dump(),
-            }
+            return {**self.snapshot(), "metrics": self.metrics.dump()}
 
     # -- durability -------------------------------------------------------
 
     def state(self) -> ServiceState:
         """The versioned snapshot (see :class:`ServiceState`)."""
         with self._lock:
+            snap = self.snapshot()
             return ServiceState(
-                architecture=self.architecture,
+                architecture=snap["architecture"],
                 register=self.register,
-                clock=self.deployment.sim.now,
-                accepted=[
-                    self._records[job_id].submission for job_id in self._order
-                ],
-                finished=[
-                    job_id
-                    for job_id in self._order
-                    if self._records[job_id].finished
-                ],
-                counters={
-                    "accepted": self.instruments.accepted_total,
-                    "rejected": self.instruments.rejected_total,
-                    "clamped": self.instruments.clamped_total,
-                },
+                clock=snap["service"]["clock"],
+                accepted=[r.submission for r in self._records.values()],
+                finished=[j for j, r in self._records.items() if r.finished],
+                counters=snap["admission"],
                 max_pending_per_member=self.policy.max_pending_per_member,
                 max_total_pending=self.policy.max_total_pending,
             )
@@ -489,11 +459,6 @@ class ReproService:
             path = self._store.save(self.state())
             self.instruments.checkpointed()
             return str(path)
-
-    def _autocheckpoint(self) -> None:
-        if self._store is not None:
-            self._store.save(self.state())
-            self.instruments.checkpointed()
 
     @classmethod
     def restore(
@@ -519,8 +484,9 @@ class ReproService:
         already).  Draining the restored service then re-derives every
         result byte-identically, including jobs that had already
         finished before the crash: nothing is lost, nothing is counted
-        twice.  Admission counters are restored from the snapshot;
-        execution metrics regenerate during replay.
+        twice.  Every ``service.admission.*`` counter (per-reason
+        rejections included) is restored from the snapshot; execution
+        metrics regenerate during replay.
 
         A tuned service restores the same way: pass a *fresh* ``tuner``
         configured identically to the original and the replay re-drives
@@ -564,9 +530,10 @@ class ReproService:
                     f"checkpoint replay rejected {submission.job_id}: "
                     f"{status.reason}"
                 )
-        for name, value in state.counters.items():
-            if value > 0:
-                service.metrics.counter(f"service.admission.{name}").inc(value)
+        # The log, not its counter, is the authority on what was accepted.
+        service.instruments.restore_admission(
+            {**state.counters, "accepted": len(state.accepted)}
+        )
         return service
 
 

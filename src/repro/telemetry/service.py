@@ -30,20 +30,37 @@ Metric names (all under the ``service.`` prefix)::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Counter, MetricsRegistry
 from repro.telemetry.tracer import Tracer
 
 
 class ServiceInstruments:
-    """Counters and instants for the service plane (names above)."""
+    """Counters and instants for the service plane (names above).  The
+    admission, results and checkpoint counters are registered up front
+    (they read 0 from the first dump) and held, not read back by name."""
 
     def __init__(
         self, registry: MetricsRegistry, tracer: Optional[Tracer] = None
     ) -> None:
         self.registry = registry
         self.tracer = tracer
+        #: Every ``service.admission.*`` counter, keyed by the name after
+        #: that prefix (``accepted``, ``rejected.<reason>`` ...).
+        self._admission: Dict[str, Counter] = {}
+        for name in ("accepted", "rejected", "clamped"):
+            self._admission_counter(name)
+        self._finished = registry.counter("service.jobs.finished")
+        self._failed = registry.counter("service.jobs.failed")
+        self._checkpoints = registry.counter("service.checkpoints")
+
+    def _admission_counter(self, name: str) -> Counter:
+        if name not in self._admission:
+            self._admission[name] = self.registry.counter(
+                f"service.admission.{name}"
+            )
+        return self._admission[name]
 
     # -- HTTP plane -------------------------------------------------------
 
@@ -57,7 +74,7 @@ class ServiceInstruments:
     # -- admission plane --------------------------------------------------
 
     def admitted(self, job_id: str, member: Optional[int]) -> None:
-        self.registry.counter("service.admission.accepted").inc()
+        self._admission["accepted"].inc()
         if self.tracer is not None:
             self.tracer.instant(
                 "job_admitted",
@@ -70,8 +87,8 @@ class ServiceInstruments:
         """Explicit backpressure: every rejection is counted twice (total
         and per-reason) so a saturated service is observable, and traced
         so the rejection instant lands on the simulation timeline."""
-        self.registry.counter("service.admission.rejected").inc()
-        self.registry.counter(f"service.admission.rejected.{reason}").inc()
+        self._admission["rejected"].inc()
+        self._admission_counter(f"rejected.{reason}").inc()
         if self.tracer is not None:
             self.tracer.instant(
                 "job_rejected_admission",
@@ -81,40 +98,49 @@ class ServiceInstruments:
             )
 
     def clamped(self, job_id: str) -> None:
-        self.registry.counter("service.admission.clamped").inc()
+        self._admission["clamped"].inc()
 
     # -- results plane ----------------------------------------------------
 
     def finished(self, job_id: str, failed: bool) -> None:
-        self.registry.counter("service.jobs.finished").inc()
+        self._finished.inc()
         if failed:
-            self.registry.counter("service.jobs.failed").inc()
+            self._failed.inc()
 
     def checkpointed(self) -> None:
-        self.registry.counter("service.checkpoints").inc()
+        self._checkpoints.inc()
 
     # -- reading back -----------------------------------------------------
 
-    def _value(self, name: str) -> float:
-        instrument = self.registry.get(name)
-        value = getattr(instrument, "value", 0.0)
-        return float(value) if value else 0.0
+    def admission_counts(self) -> Dict[str, int]:
+        """Every ``service.admission.*`` counter as an int, keyed by the
+        name after that prefix — the checkpoint's ``counters`` object."""
+        return {name: int(c.value) for name, c in self._admission.items()}
+
+    def restore_admission(self, counts: Mapping[str, float]) -> None:
+        """Add checkpointed :meth:`admission_counts` back (restore)."""
+        for name, value in counts.items():
+            self._admission_counter(name).inc(value)
 
     @property
-    def accepted_total(self) -> float:
-        return self._value("service.admission.accepted")
+    def accepted_total(self) -> int:
+        return int(self._admission["accepted"].value)
 
     @property
-    def rejected_total(self) -> float:
-        return self._value("service.admission.rejected")
+    def rejected_total(self) -> int:
+        return int(self._admission["rejected"].value)
 
     @property
-    def clamped_total(self) -> float:
-        return self._value("service.admission.clamped")
+    def clamped_total(self) -> int:
+        return int(self._admission["clamped"].value)
 
     @property
-    def finished_total(self) -> float:
-        return self._value("service.jobs.finished")
+    def finished_total(self) -> int:
+        return int(self._finished.value)
+
+    @property
+    def failed_total(self) -> int:
+        return int(self._failed.value)
 
 
 __all__ = ["ServiceInstruments"]

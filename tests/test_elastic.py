@@ -536,6 +536,22 @@ class TestCheckpointStore:
         assert loaded is not None
         assert loaded.to_wire() == states[0].to_wire()
 
+    @pytest.mark.parametrize("value", ["x", [3]])
+    def test_bad_counter_in_newest_falls_back(self, tmp_path, value):
+        path = tmp_path / "s.json"
+        service = ReproService("Hybrid", checkpoint_path=str(path))
+        service.submit(JobSubmission(job_id="j0", input_bytes=1 * GB))
+        service.checkpoint()
+        service.submit(JobSubmission(job_id="j1", input_bytes=1 * GB))
+        service.checkpoint()
+        newest = json.loads(path.read_text())
+        newest["counters"]["accepted"] = value
+        path.write_text(json.dumps(newest))
+
+        restored = ReproService.restore(str(path))
+        assert [s.job_id for s in restored.state().accepted] == ["j0"]
+        assert restored.drain()["accepted"] == 1
+
     def test_all_corrupt_raises_typed_error(self, tmp_path):
         store = CheckpointStore(tmp_path / "s.json", keep=2)
         (tmp_path / "s.json").write_text("{torn")

@@ -9,8 +9,10 @@ The contracts pinned here:
 * **pure observer** — a daemon run with a :class:`MetricsBus` attached
   produces byte-identical results to a bare run, and so does a
   bus-attached sweep;
-* **reconciliation** — the last service frame's counters agree with
-  ``metrics_dump()``;
+* **reconciliation** — the last service frame, ``metrics_dump()``,
+  ``health()``, the ``drain()`` summary and the checkpoint counters
+  agree key for key, with integer counts — live, restored and under
+  brownout;
 * **surfaces** — ``GET /events`` tails frames (``?since=N`` resumes),
   ``GET /mission`` and ``repro mission`` emit self-contained HTML
   (no scripts, no external fetches — the profiler-dashboard rule).
@@ -30,8 +32,15 @@ from repro.apps import GREP
 from repro.core.architectures import out_ofs, up_ofs
 from repro.mission import render_mission, write_mission
 from repro.runner import PoolRunner, ResultCache, canonical_json, sweep_experiment
-from repro.service import AdmissionPolicy, ReproService, serve
+from repro.service import (
+    REASON_SHED_DEGRADED,
+    AdmissionPolicy,
+    ReproService,
+    serve,
+)
 from repro.core.api import JobSubmission
+from repro.elastic import HEALTH_DEGRADED, BrownoutConfig
+from repro.faults import NODE_CRASH, FaultEvent, FaultPlan
 from repro.telemetry.bus import (
     FRAME_SCHEMA,
     FrameError,
@@ -178,6 +187,95 @@ class TestReconciliation:
         assert sum(body["capacity"].values()) == (
             dump["elastic"]["schedulable_nodes"]
         )
+
+    def _scenario(self, name, tmp_path):
+        """A drained-to-be service with a bus: live, restored from a
+        checkpoint, or shedding under brownout."""
+        subs = submissions_for(make_trace(30))
+        if name == "brownout":
+            crashes = FaultPlan(tuple(
+                FaultEvent(time=1.0 + i, kind=NODE_CRASH, member="out", node=i)
+                for i in range(7)  # 17/24 schedulable: degraded
+            ))
+            bus = MetricsBus()
+            service = ReproService(
+                "RHadoop", fault_plan=crashes, bus=bus,
+                brownout=BrownoutConfig(degraded_shed_shuffle_over=1 * GB),
+            )
+            service.advance_until(20.0)
+            assert service.submit(JobSubmission(
+                job_id="big", input_bytes=1 * GB, shuffle_bytes=2 * GB,
+            )).reason == REASON_SHED_DEGRADED
+            assert service.submit(JobSubmission(
+                job_id="small", input_bytes=1 * GB, shuffle_bytes=0.5 * GB,
+            )).accepted
+            return service, bus
+        path = str(tmp_path / "state.json")
+        bus = MetricsBus()
+        service = ReproService(
+            "Hybrid", bus=bus, checkpoint_path=path,
+            policy=AdmissionPolicy(max_total_pending=8),
+        )
+        for sub in subs:
+            service.submit(sub)
+        service.submit(dataclasses.replace(subs[0]))  # duplicate
+        service.advance_until(subs[-1].arrival_time)
+        if name == "live":
+            return service, bus
+        service.checkpoint()
+        bus = MetricsBus()
+        restored = ReproService.restore(path, bus=bus)
+        assert restored.state().counters == service.state().counters
+        return restored, bus
+
+    @pytest.mark.parametrize("scenario", ["live", "restored", "brownout"])
+    def test_every_view_agrees(self, scenario, tmp_path):
+        service, bus = self._scenario(scenario, tmp_path)
+        summary = service.drain()
+        body = bus.frames()[-1].body
+        dump = service.metrics_dump()
+        health = service.health()
+        counters = service.state().counters
+        counts = dump["service"]
+
+        for key in ("accepted", "rejected", "clamped", "finished", "pending"):
+            assert body[key] == counts[key]
+        for key in ("accepted", "finished", "failed", "pending", "clock"):
+            assert summary[key] == counts[key]
+        for key in ("accepted", "pending", "clock"):
+            assert health[key] == counts[key]
+        assert bus.frames()[-1].clock == counts["clock"]
+        assert body["health"] == health["status"] == dump["elastic"]["health"]
+        assert body["healthy_fraction"] == health["healthy_fraction"]
+        assert body["capacity"] == dump["capacity"]
+        assert body["routing"] == dump["routing"]
+        assert body["elastic"] == {
+            key: dump["elastic"][key] for key in body["elastic"]
+        }
+        # Checkpoint counters are every service.admission.* counter.
+        assert counters == {
+            name[len("service.admission."):]: value
+            for name, value in dump["metrics"].items()
+            if name.startswith("service.admission.")
+        }
+        for key in ("accepted", "rejected", "clamped"):
+            assert counters[key] == counts[key]
+        assert sum(
+            value for name, value in counters.items()
+            if name.startswith("rejected.")
+        ) == counts["rejected"]
+        assert counts["rejected"] > 0
+
+        views = (body, summary, health, counters, counts, dump["admission"])
+        for view in views:
+            for key, value in view.items():
+                if key in ("clock", "healthy_fraction") or not isinstance(
+                    value, (int, float)
+                ):
+                    continue
+                assert type(value) is int, (key, value)
+        if scenario == "brownout":
+            assert health["status"] == HEALTH_DEGRADED
 
 
 class TestDashboard:

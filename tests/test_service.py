@@ -118,6 +118,19 @@ class TestWireModels:
         )
         assert ServiceState.from_wire(state.to_wire()) == state
 
+    @pytest.mark.parametrize(
+        "value", ["x", [1], True, -1, float("nan"), float("inf"), None]
+    )
+    def test_service_state_rejects_bad_counter(self, value):
+        state = ServiceState(
+            architecture="Hybrid", register=False, clock=0.0,
+            accepted=[], finished=[], counters={},
+        )
+        wire = state.to_wire()
+        wire["counters"] = {"accepted": value}
+        with pytest.raises(ServiceError, match="counter 'accepted'"):
+            ServiceState.from_wire(wire)
+
 
 class TestDeterminismPin:
     """Streamed admission == batch run_trace, byte for byte."""
@@ -209,6 +222,42 @@ class TestLifecycle:
         dump = restored.metrics_dump()
         assert dump["service"]["accepted"] == 1
         assert dump["service"]["rejected"] == 1
+
+    def test_restore_keeps_per_reason_rejection_counters(self, tmp_path):
+        path = str(tmp_path / "state.json")
+        service = ReproService("Hybrid", checkpoint_path=path)
+        service.submit(JobSubmission(job_id="a", input_bytes=1 * GB))
+        service.submit(JobSubmission(job_id="a", input_bytes=1 * GB))  # dup
+        service.checkpoint()
+        live = service.metrics_dump()["metrics"]
+        assert live[f"service.admission.rejected.{REASON_DUPLICATE}"] == 1
+
+        restored = ReproService.restore(path)
+        dump = restored.metrics_dump()
+        name = f"service.admission.rejected.{REASON_DUPLICATE}"
+        assert dump["metrics"][name] == 1
+        # The partition invariant holds after restore too.
+        per_reason = sum(
+            value
+            for key, value in dump["metrics"].items()
+            if key.startswith("service.admission.rejected.")
+        )
+        assert per_reason == dump["service"]["rejected"] == 1
+        assert restored.state().counters == service.state().counters
+
+    def test_restore_without_counters_counts_the_log(self, tmp_path):
+        path = tmp_path / "state.json"
+        service = ReproService("Hybrid", checkpoint_path=str(path))
+        service.submit(JobSubmission(job_id="a", input_bytes=1 * GB))
+        service.checkpoint()
+        wire = json.loads(path.read_text())
+        del wire["counters"]  # optional on the wire
+        path.write_text(json.dumps(wire))
+
+        restored = ReproService.restore(str(path))
+        assert restored.metrics_dump()["service"]["accepted"] == 1
+        assert restored.health()["accepted"] == 1
+        assert restored.drain()["accepted"] == 1
 
     def test_restore_missing_checkpoint_fails_loudly(self, tmp_path):
         with pytest.raises(ServiceError, match="no checkpoint"):

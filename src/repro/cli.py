@@ -620,7 +620,7 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     if args.save_plan:
         plan = default_elastic_plan(duration, seed=args.scale_seed)
         path = plan.save(args.save_plan)
-        print(f"scale plan ({plan.describe()}) written to {path}\n")
+        print(f"elastic plan ({plan.describe()}) written to {path}\n")
     names = (
         sorted(CHAOS_SCENARIOS)
         if args.scenario == "all"
@@ -941,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
     elastic.add_argument("--scale-seed", type=int, default=0,
                          help="seed for the scenario's jittered timestamps")
     elastic.add_argument("--save-plan", metavar="FILE",
-                         help="also write the default elastic ScalePlan "
-                              "to FILE (JSON)")
+                         help="also write the default elastic plan to "
+                              "FILE (JSON; replay --faults FILE loads it)")
 
     trace_export = sub.add_parser(
         "trace-export",

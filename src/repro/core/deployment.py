@@ -42,14 +42,12 @@ from repro.core.api import Router, Scheduler
 from repro.core.architectures import ArchitectureSpec
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.scheduler import Decision, SizeAwareScheduler
-from repro.elastic.actuator import ScaleActuator
 from repro.elastic.degrade import (
     BrownoutConfig,
     DEFAULT_BROWNOUT,
     HEALTH_BROWNED_OUT,
     HEALTH_OK,
 )
-from repro.elastic.plan import ScalePlan
 from repro.errors import ConfigurationError, SchedulingError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -124,7 +122,6 @@ class Deployment:
         fast_path: Optional["FastPathPolicy"] = None,
         max_events: Optional[int] = None,
         tuner: Optional["Tuner"] = None,
-        scale_plan: Optional[ScalePlan] = None,
         autoscaler: Optional["Autoscaler"] = None,
         brownout: Optional[BrownoutConfig] = None,
     ) -> None:
@@ -219,8 +216,10 @@ class Deployment:
         self.route_counts: List[dict] = [
             {reason: 0 for reason in ROUTE_REASONS} for _ in self.trackers
         ]
-        #: Fault schedule, armed on the fresh clock *before* any job is
-        #: submitted so fault events precede same-time job events.  An
+        #: Event schedule — faults and elastic membership changes —
+        #: armed on the fresh clock *before* any job is submitted so plan
+        #: events precede same-time job events (and same-time faults
+        #: precede same-time scale events, the plan's own order).  An
         #: empty (or absent) plan arms nothing: healthy runs stay
         #: byte-identical to deployments built without a plan.
         self.fault_plan = fault_plan
@@ -228,13 +227,6 @@ class Deployment:
         if fault_plan is not None and not fault_plan.is_empty:
             self.injector = FaultInjector(self, fault_plan)
 
-        #: Scale schedule (elastic membership — :mod:`repro.elastic`),
-        #: armed exactly like the fault plan: an empty (or absent) plan
-        #: arms nothing, so static runs stay byte-identical.  Same-time
-        #: fault events fire before scale events (the injector armed
-        #: first), deterministically.
-        self.scale_plan = scale_plan
-        self.actuator: Optional[ScaleActuator] = None
         #: Brownout watermarks (docs/ELASTIC.md).  ``None`` switches the
         #: degradation behaviours — admission-level health, static-router
         #: fallback, tuner suspension — off entirely; the service
@@ -251,8 +243,6 @@ class Deployment:
             tracker.on_decommissioned = (
                 lambda node, member=i: self._node_left(member, node)
             )
-        if scale_plan is not None and not scale_plan.is_empty:
-            self.actuator = ScaleActuator(self, scale_plan)
         #: Reactive autoscaler (:mod:`repro.elastic.autoscale`), ticked
         #: on the simulation clock while jobs are active.  ``None`` arms
         #: no tick at all.
@@ -264,15 +254,10 @@ class Deployment:
         self.fast_path: Optional["FastPathEngine"] = None
         self.fast_path_jobs = 0
         if fast_path is not None:
-            if self.injector is not None:
+            if self.injector is not None or self.autoscaler is not None:
                 raise ConfigurationError(
-                    "the analytic fast path assumes fault-free runs; "
-                    "drop fast_path= or the fault plan"
-                )
-            if self.actuator is not None or self.autoscaler is not None:
-                raise ConfigurationError(
-                    "the analytic fast path assumes a static cluster; "
-                    "drop fast_path= or the scale plan/autoscaler"
+                    "the analytic fast path assumes a static, fault-free "
+                    "cluster; drop fast_path= or the event plan/autoscaler"
                 )
             from repro.core.fastpath import FastPathEngine
 
@@ -748,8 +733,9 @@ class Deployment:
                 t.nodes_decommissioned for t in self.trackers
             ),
         }
-        if self.actuator is not None:
-            summary["scale_plan"] = self.actuator.summary()
+        scale = self.injector.scale_summary() if self.injector else None
+        if scale is not None:
+            summary["scale_plan"] = scale
         if self.autoscaler is not None:
             autoscaler_summary = getattr(self.autoscaler, "summary", None)
             if callable(autoscaler_summary):
@@ -772,9 +758,10 @@ class Deployment:
             if storage.data_lost:
                 data_loss += 1
             rereplication += getattr(storage, "rereplication_bytes", 0.0)
+        counts = self.injector.counts if self.injector else {}
         return {
-            "injected_events": self.injector.injected if self.injector else 0,
-            "skipped_events": self.injector.skipped if self.injector else 0,
+            "injected_events": counts.get("faults.injected", 0),
+            "skipped_events": counts.get("faults.skipped", 0),
             "task_attempt_failures": sum(
                 t.task_attempt_failures for t in self.trackers
             ),
@@ -791,8 +778,8 @@ class Deployment:
                 t.nodes_decommissioned for t in self.trackers
             ),
             "nodes_joined": sum(t.nodes_joined for t in self.trackers),
-            "scale_events_applied": self.actuator.applied if self.actuator else 0,
-            "scale_events_skipped": self.actuator.skipped if self.actuator else 0,
+            "scale_events_applied": counts.get("elastic.applied", 0),
+            "scale_events_skipped": counts.get("elastic.skipped", 0),
             # Per-member healthy-capacity time series: [[sim_time,
             # schedulable_nodes], ...], sampled at every membership
             # transition (crash/recover/blacklist/drain/join).

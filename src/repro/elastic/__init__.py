@@ -1,23 +1,22 @@
 """Elastic cluster membership, degradation-aware admission, chaos harness.
 
-The elastic twin of :mod:`repro.faults` (see docs/ELASTIC.md):
+Membership changes — joins, graceful decommissions, OFS array resizes —
+are scale events in the one event plan, :class:`~repro.faults.FaultPlan`
+(docs/FAULTS.md); this package holds what reacts to them and drives
+them (see docs/ELASTIC.md):
 
-* :class:`ScalePlan` — a seeded, serializable schedule of membership
-  changes (joins, graceful decommissions, OFS array resizes);
-* :class:`ScaleActuator` — replays a plan against a deployment on the
-  simulation clock, skipping events that don't apply;
 * :class:`ThresholdAutoscaler` — a deterministic reactive controller
   that joins/drains nodes from queue-depth and utilization signals;
 * :class:`BrownoutConfig` — watermarks that map healthy-capacity
   fraction to ``ok``/``degraded``/``browned_out`` admission behaviour;
 * :mod:`repro.elastic.chaos` — seeded churn scenarios with hard
-  no-job-lost/no-double-completion invariants.
+  no-job-lost/no-double-completion invariants, and
+  :func:`default_elastic_plan`, the reference churn schedule.
 
 Identical plan + seed replay byte-identically, and an empty plan leaves
 every result byte-identical to a run with no plan at all.
 """
 
-from repro.elastic.actuator import ScaleActuator
 from repro.elastic.autoscale import Autoscaler, ThresholdAutoscaler
 from repro.elastic.chaos import (
     CHAOS_SCENARIOS,
@@ -25,6 +24,7 @@ from repro.elastic.chaos import (
     ChaosScenario,
     cascading_loss,
     check_invariants,
+    default_elastic_plan,
     flapping_node,
     kill_during_decommission,
     run_chaos,
@@ -38,18 +38,6 @@ from repro.elastic.degrade import (
     HEALTH_OK,
     BrownoutConfig,
 )
-from repro.elastic.plan import (
-    NODE_DECOMMISSION,
-    NODE_JOIN,
-    OFS_SERVER_ADD,
-    OFS_SERVER_REMOVE,
-    PLAN_SCHEMA,
-    SCALE_KINDS,
-    ScaleEvent,
-    ScalePlan,
-    default_elastic_plan,
-    plan_from_events,
-)
 
 __all__ = [
     "CHAOS_SCENARIOS",
@@ -62,22 +50,12 @@ __all__ = [
     "HEALTH_DEGRADED",
     "HEALTH_LEVELS",
     "HEALTH_OK",
-    "NODE_DECOMMISSION",
-    "NODE_JOIN",
-    "OFS_SERVER_ADD",
-    "OFS_SERVER_REMOVE",
-    "PLAN_SCHEMA",
-    "SCALE_KINDS",
-    "ScaleActuator",
-    "ScaleEvent",
-    "ScalePlan",
     "ThresholdAutoscaler",
     "cascading_loss",
     "check_invariants",
     "default_elastic_plan",
     "flapping_node",
     "kill_during_decommission",
-    "plan_from_events",
     "run_chaos",
     "thundering_herd",
 ]

@@ -3,7 +3,7 @@
 An :class:`Autoscaler` watches a deployment's live signals — queue-depth
 backlog (:meth:`JobTracker.outstanding_work`, committed map tasks per
 map slot) and instantaneous slot utilization — and issues membership
-actions through the same code paths a :class:`ScalePlan` uses:
+actions through the same code paths a plan's scale events use:
 :meth:`Deployment.add_node` to scale up, graceful
 :meth:`JobTracker.decommission_node` to scale down.
 

@@ -1,11 +1,11 @@
 """Chaos/soak harness: seeded churn scenarios with hard invariants.
 
-Each :class:`ChaosScenario` pairs a :class:`ScalePlan` (membership
-churn) with a :class:`FaultPlan` (infrastructure misbehaviour), both
-synthesized from one seed so a scenario replays byte-identically.  The
-harness runs an FB-2009 trace slice through a deployment under both
-plans and then checks the invariants that make elastic membership safe
-to trust:
+Each :class:`ChaosScenario` carries one :class:`FaultPlan` mixing
+membership churn (scale events) with infrastructure misbehaviour
+(faults), synthesized from one seed so a scenario replays
+byte-identically.  The harness runs an FB-2009 trace slice through a
+deployment under that plan and then checks the invariants that make
+elastic membership safe to trust:
 
 * **no job lost** — every submitted job produces exactly one result
   (completed or explicitly failed), even when its node drained or
@@ -42,26 +42,53 @@ from random import Random
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.elastic.degrade import BrownoutConfig
-from repro.elastic.plan import (
+from repro.errors import ElasticError
+from repro.faults.plan import (
+    NODE_CRASH,
     NODE_DECOMMISSION,
     NODE_JOIN,
+    NODE_RECOVER,
+    OFS_SERVER_ADD,
     OFS_SERVER_REMOVE,
-    ScaleEvent,
-    ScalePlan,
+    FaultEvent,
+    FaultPlan,
     _jittered,
 )
-from repro.errors import ElasticError
-from repro.faults.plan import NODE_CRASH, NODE_RECOVER, FaultEvent, FaultPlan
 
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One named churn schedule: a scale plan plus a fault plan."""
+    """One named churn schedule: fault events first, then scale events."""
 
     name: str
-    scale_plan: ScalePlan
     fault_plan: FaultPlan
     description: str = ""
+
+
+def default_elastic_plan(
+    duration: float,
+    seed: int = 0,
+    member: str = "out",
+    nodes: int = 12,
+) -> FaultPlan:
+    """A representative seeded churn schedule over ``duration``.
+
+    Two scale-out nodes drain away mid-trace, replacements join in the
+    second half, and the shared OFS array gains a stripe server — all
+    addressed by role so the same plan drives every Section V
+    deployment.
+    """
+    if nodes < 2:
+        raise ElasticError(f"nodes must be >= 2: {nodes}")
+    rng = Random(f"elastic:{seed}")
+    t = lambda frac: _jittered(rng, duration * frac)  # noqa: E731
+    events = (
+        FaultEvent(time=t(0.20), kind=NODE_DECOMMISSION, member=member, node=nodes - 1),
+        FaultEvent(time=t(0.35), kind=NODE_DECOMMISSION, member=member, node=nodes - 2),
+        FaultEvent(time=t(0.55), kind=NODE_JOIN, member=member, count=2),
+        FaultEvent(time=t(0.70), kind=OFS_SERVER_ADD, count=1),
+    )
+    return FaultPlan(events=events, seed=seed, name=f"default-elastic-s{seed}")
 
 
 def flapping_node(duration: float, seed: int = 0) -> ChaosScenario:
@@ -74,13 +101,12 @@ def flapping_node(duration: float, seed: int = 0) -> ChaosScenario:
         up = down + _jittered(rng, duration * 0.08)
         fault_events.append(FaultEvent(time=down, kind=NODE_CRASH, member="out", node=node))
         fault_events.append(FaultEvent(time=up, kind=NODE_RECOVER, member="out", node=node))
-    scale_events = (
-        ScaleEvent(time=_jittered(rng, duration * 0.30), kind=NODE_JOIN, member="out"),
+    join = FaultEvent(
+        time=_jittered(rng, duration * 0.30), kind=NODE_JOIN, member="out"
     )
     return ChaosScenario(
         name="flapping_node",
-        scale_plan=ScalePlan(scale_events, seed=seed, name=f"flap-s{seed}"),
-        fault_plan=FaultPlan(tuple(fault_events), seed=seed, name=f"flap-s{seed}"),
+        fault_plan=FaultPlan((*fault_events, join), seed=seed, name=f"flap-s{seed}"),
         description="node 3 flaps 3x; one replacement joins mid-flap",
     )
 
@@ -91,7 +117,7 @@ def cascading_loss(duration: float, seed: int = 0, nodes: int = 12) -> ChaosScen
         raise ElasticError(f"cascading_loss needs >= 4 nodes: {nodes}")
     rng = Random(f"chaos-cascade:{seed}")
     scale_events = tuple(
-        ScaleEvent(
+        FaultEvent(
             time=_jittered(rng, duration * (0.20 + 0.15 * i)),
             kind=NODE_DECOMMISSION,
             member="out",
@@ -99,14 +125,13 @@ def cascading_loss(duration: float, seed: int = 0, nodes: int = 12) -> ChaosScen
         )
         for i in range(3)
     ) + (
-        ScaleEvent(
+        FaultEvent(
             time=_jittered(rng, duration * 0.70), kind=OFS_SERVER_REMOVE, count=1
         ),
     )
     return ChaosScenario(
         name="cascading_loss",
-        scale_plan=ScalePlan(scale_events, seed=seed, name=f"cascade-s{seed}"),
-        fault_plan=FaultPlan(seed=seed, name=f"cascade-s{seed}"),
+        fault_plan=FaultPlan(scale_events, seed=seed, name=f"cascade-s{seed}"),
         description="3 staggered drains + 1 OFS server removed",
     )
 
@@ -117,7 +142,7 @@ def thundering_herd(duration: float, seed: int = 0, nodes: int = 12) -> ChaosSce
         raise ElasticError(f"thundering_herd needs >= 4 nodes: {nodes}")
     rng = Random(f"chaos-herd:{seed}")
     drains = tuple(
-        ScaleEvent(
+        FaultEvent(
             time=_jittered(rng, duration * (0.15 + 0.10 * i)),
             kind=NODE_DECOMMISSION,
             member="out",
@@ -127,12 +152,11 @@ def thundering_herd(duration: float, seed: int = 0, nodes: int = 12) -> ChaosSce
     )
     rejoin = _jittered(rng, duration * 0.55)
     herd = tuple(
-        ScaleEvent(time=rejoin, kind=NODE_JOIN, member="out") for _ in range(3)
+        FaultEvent(time=rejoin, kind=NODE_JOIN, member="out") for _ in range(3)
     )
     return ChaosScenario(
         name="thundering_herd",
-        scale_plan=ScalePlan(drains + herd, seed=seed, name=f"herd-s{seed}"),
-        fault_plan=FaultPlan(seed=seed, name=f"herd-s{seed}"),
+        fault_plan=FaultPlan(drains + herd, seed=seed, name=f"herd-s{seed}"),
         description="3 drains, then 3 joins at one timestamp",
     )
 
@@ -147,17 +171,14 @@ def kill_during_decommission(
     node = nodes - 1
     drain = _jittered(rng, duration * 0.25)
     crash = drain + _jittered(rng, duration * 0.05)
-    scale_events = (
-        ScaleEvent(time=drain, kind=NODE_DECOMMISSION, member="out", node=node),
-        ScaleEvent(time=_jittered(rng, duration * 0.60), kind=NODE_JOIN, member="out"),
-    )
-    fault_events = (
+    events = (
         FaultEvent(time=crash, kind=NODE_CRASH, member="out", node=node),
+        FaultEvent(time=drain, kind=NODE_DECOMMISSION, member="out", node=node),
+        FaultEvent(time=_jittered(rng, duration * 0.60), kind=NODE_JOIN, member="out"),
     )
     return ChaosScenario(
         name="kill_during_decommission",
-        scale_plan=ScalePlan(scale_events, seed=seed, name=f"kill-s{seed}"),
-        fault_plan=FaultPlan(fault_events, seed=seed, name=f"kill-s{seed}"),
+        fault_plan=FaultPlan(events, seed=seed, name=f"kill-s{seed}"),
         description="node crashes while draining; replacement joins later",
     )
 
@@ -207,8 +228,9 @@ def check_invariants(job_ids: List[str], results: List[Any]) -> List[str]:
             violations.append(f"job {job_id} lost: no result recorded")
         elif seen > 1:
             violations.append(f"job {job_id} double-completed: {seen} results")
-    for job_id, seen in counts.items():
-        if job_id not in set(job_ids):
+    submitted = set(job_ids)
+    for job_id in counts:
+        if job_id not in submitted:
             violations.append(f"unknown result for job {job_id}")
     return violations
 
@@ -258,7 +280,6 @@ def run_chaos(
     deployment = Deployment(
         specs[architecture],
         fault_plan=scenario.fault_plan,
-        scale_plan=scenario.scale_plan,
         brownout=brownout if brownout is not None else BrownoutConfig(),
     )
     results = deployment.run_trace(jobs)
@@ -284,6 +305,7 @@ __all__ = [
     "ChaosScenario",
     "cascading_loss",
     "check_invariants",
+    "default_elastic_plan",
     "flapping_node",
     "kill_during_decommission",
     "run_chaos",

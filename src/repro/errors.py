@@ -48,15 +48,14 @@ class ServiceError(ReproError):
 
 
 class FaultError(ReproError):
-    """A fault plan is malformed, or an injected fault put the modeled
+    """An event plan is malformed, or an injected fault put the modeled
     system into a state it cannot serve (e.g. every replica of a job's
     data lost, or a job exhausting its task attempts)."""
 
 
 class ElasticError(ReproError):
-    """A scale plan is malformed, or an elastic-membership action
-    (join, decommission, resize) was asked of a cluster that cannot
-    perform it."""
+    """An elastic control — autoscaler bounds, brownout watermarks, a
+    chaos scenario or its parameters — is invalid."""
 
 
 class CheckpointCorruptError(ServiceError):

@@ -1,7 +1,8 @@
-"""Deterministic fault injection (see docs/FAULTS.md).
+"""Deterministic fault and membership events (see docs/FAULTS.md).
 
-A :class:`FaultPlan` is a seeded, serializable schedule of infrastructure
-faults; a :class:`FaultInjector` replays it against a deployment on the
+A :class:`FaultPlan` is a seeded, serializable schedule of
+infrastructure faults and elastic membership changes; a
+:class:`FaultInjector` replays it against a deployment on the
 simulation clock.  Identical plan + seed replay byte-identically, and an
 empty plan leaves every healthy result byte-identical to a run with no
 plan at all.
@@ -12,10 +13,15 @@ from repro.faults.plan import (
     FAULT_KINDS,
     HDFS_REPLICA_LOSS,
     NODE_CRASH,
+    NODE_DECOMMISSION,
+    NODE_JOIN,
     NODE_RECOVER,
+    OFS_SERVER_ADD,
     OFS_SERVER_LOSS,
     OFS_SERVER_RECOVER,
+    OFS_SERVER_REMOVE,
     PLAN_SCHEMA,
+    SCALE_KINDS,
     TASK_FAILURE,
     FaultEvent,
     FaultPlan,
@@ -31,10 +37,15 @@ __all__ = [
     "FaultPlan",
     "HDFS_REPLICA_LOSS",
     "NODE_CRASH",
+    "NODE_DECOMMISSION",
+    "NODE_JOIN",
     "NODE_RECOVER",
+    "OFS_SERVER_ADD",
     "OFS_SERVER_LOSS",
     "OFS_SERVER_RECOVER",
+    "OFS_SERVER_REMOVE",
     "PLAN_SCHEMA",
+    "SCALE_KINDS",
     "TASK_FAILURE",
     "crash_storm_plan",
     "default_resilience_plan",

@@ -1,12 +1,18 @@
-"""Fault plans: seeded, serializable schedules of infrastructure faults.
+"""Event plans: seeded, serializable schedules of faults and membership changes.
 
 A :class:`FaultPlan` is an ordered list of timestamped
-:class:`FaultEvent`\\ s — node crashes and recoveries, OFS storage-server
-loss, HDFS datanode (replica) loss, transient task-attempt failures —
-plus a seed.  Plans are plain frozen dataclasses, serialise canonically
-to JSON, and carry a content hash, so the runner cache can distinguish a
-faulted run from a healthy one (and two different fault schedules from
-each other) the same way it distinguishes calibrations.
+:class:`FaultEvent`\\ s plus a seed.  Events come in two families that
+share one schema:
+
+* **faults** — node crashes and recoveries, OFS storage-server loss,
+  HDFS datanode (replica) loss, transient task-attempt failures;
+* **scale events** — node joins, graceful decommissions, OFS array
+  resizes (elastic membership, docs/ELASTIC.md).
+
+Plans are plain frozen dataclasses, serialise canonically to JSON, and
+carry a content hash, so the runner cache can distinguish a faulted or
+elastic run from a healthy one (and two different schedules from each
+other) the same way it distinguishes calibrations.
 
 Determinism rules
 -----------------
@@ -17,6 +23,8 @@ Determinism rules
 * Events fire as ordinary simulator-clock callbacks, armed before any
   job event is scheduled, so an event at time *t* is applied before any
   same-time task event.
+* Events are ordered by time; at one timestamp every fault fires before
+  every scale event, and within a family events keep authoring order.
 * An **empty plan arms nothing**: a deployment built with
   ``FaultPlan.empty()`` schedules exactly the same events as one built
   with no plan at all, so healthy results stay byte-identical.
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
@@ -44,7 +53,7 @@ from typing import Any, Dict, Iterable, Tuple
 
 from repro.errors import FaultError
 
-#: Recognised fault kinds (the ``kind`` field of a :class:`FaultEvent`).
+#: Fault kinds (the ``kind`` field of a :class:`FaultEvent`).
 NODE_CRASH = "node_crash"
 NODE_RECOVER = "node_recover"
 TASK_FAILURE = "task_failure"
@@ -61,20 +70,42 @@ FAULT_KINDS = (
     HDFS_REPLICA_LOSS,
 )
 
+#: Scale kinds: elastic membership changes (docs/ELASTIC.md).
+NODE_JOIN = "node_join"
+NODE_DECOMMISSION = "node_decommission"
+OFS_SERVER_ADD = "ofs_server_add"
+OFS_SERVER_REMOVE = "ofs_server_remove"
+
+SCALE_KINDS = (
+    NODE_JOIN,
+    NODE_DECOMMISSION,
+    OFS_SERVER_ADD,
+    OFS_SERVER_REMOVE,
+)
+
+#: Every kind a plan accepts.
+EVENT_KINDS = FAULT_KINDS + SCALE_KINDS
+
 #: Schema tag carried by serialized plans.
 PLAN_SCHEMA = 1
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timestamped fault.
+    """One timestamped fault or membership change.
 
     Parameters
     ----------
     time:
-        Simulation time (seconds) at which the fault strikes.
+        Simulation time (seconds) at which the event strikes.  For a
+        decommission this is when draining *starts*; the node leaves
+        once its running attempts retire.
     kind:
-        One of :data:`FAULT_KINDS`.
+        One of :data:`EVENT_KINDS`.
     member:
         Target member cluster: a role (``"up"``/``"out"``) or member
         index as a string.  Empty string means member 0 for node events;
@@ -82,9 +113,10 @@ class FaultEvent:
         hybrid's members share).
     node:
         Node index within the member cluster (node events), or datanode
-        index (``hdfs_replica_loss``).  Ignored by OFS server events.
+        index (``hdfs_replica_loss``).  Ignored by joins, which append
+        at the next free index, and by OFS server events.
     count:
-        Number of storage servers affected (OFS server events only).
+        Nodes to join, attempts to fail, or OFS servers affected.
     """
 
     time: float
@@ -94,41 +126,62 @@ class FaultEvent:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise FaultError(f"fault time must be non-negative: {self.time}")
-        if self.kind not in FAULT_KINDS:
+        if (
+            isinstance(self.time, bool)
+            or not isinstance(self.time, (int, float))
+            or not math.isfinite(self.time)
+            or self.time < 0
+        ):
             raise FaultError(
-                f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}"
+                f"event time must be a finite number >= 0: {self.time!r}"
             )
-        if self.node < 0:
-            raise FaultError(f"node index must be non-negative: {self.node}")
-        if self.count < 1:
-            raise FaultError(f"count must be >= 1: {self.count}")
+        if self.kind not in EVENT_KINDS:
+            raise FaultError(
+                f"unknown event kind {self.kind!r}; choose from {EVENT_KINDS}"
+            )
+        if not isinstance(self.member, str):
+            raise FaultError(f"member must be a string: {self.member!r}")
+        if not _is_int(self.node) or self.node < 0:
+            raise FaultError(f"node must be an int >= 0: {self.node!r}")
+        if not _is_int(self.count) or self.count < 1:
+            raise FaultError(f"count must be an int >= 1: {self.count!r}")
+
+    @property
+    def is_scale(self) -> bool:
+        """True for membership changes, False for faults."""
+        return self.kind in SCALE_KINDS
 
     def describe(self) -> str:
         target = self.member or "0"
-        if self.kind in (OFS_SERVER_LOSS, OFS_SERVER_RECOVER):
+        if self.kind in (
+            OFS_SERVER_LOSS, OFS_SERVER_RECOVER, OFS_SERVER_ADD, OFS_SERVER_REMOVE
+        ):
             return f"t={self.time:g}s {self.kind} x{self.count}"
+        if self.kind == NODE_JOIN:
+            return f"t={self.time:g}s {self.kind} {target} x{self.count}"
         return f"t={self.time:g}s {self.kind} {target}/node{self.node}"
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A named, seeded schedule of fault events (sorted by time)."""
+    """A named, seeded schedule of events, sorted by time with same-time
+    faults before same-time scale events."""
 
     events: Tuple[FaultEvent, ...] = field(default_factory=tuple)
     seed: int = 0
     name: str = ""
 
     def __post_init__(self) -> None:
+        if not _is_int(self.seed):
+            raise FaultError(f"plan seed must be an int: {self.seed!r}")
         ordered = tuple(
-            sorted(self.events, key=lambda e: e.time)
-        )  # stable: same-time events keep authoring order
+            sorted(self.events, key=lambda e: (e.time, e.is_scale))
+        )  # stable: same-time events of one family keep authoring order
         object.__setattr__(self, "events", ordered)
 
     @classmethod
     def empty(cls) -> "FaultPlan":
-        """The no-fault plan (arms nothing; byte-identical to no plan)."""
+        """The empty plan (arms nothing; byte-identical to no plan)."""
         return cls()
 
     @property
@@ -151,17 +204,17 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         if not isinstance(data, dict) or "events" not in data:
-            raise FaultError("a fault plan needs an 'events' list")
+            raise FaultError("a plan needs an 'events' list")
         schema = data.get("schema", PLAN_SCHEMA)
         if schema != PLAN_SCHEMA:
-            raise FaultError(f"unsupported fault-plan schema {schema!r}")
+            raise FaultError(f"unsupported plan schema {schema!r}")
         try:
             events = tuple(FaultEvent(**e) for e in data["events"])
         except TypeError as exc:
-            raise FaultError(f"malformed fault event: {exc}") from None
+            raise FaultError(f"malformed plan event: {exc}") from None
         return cls(
             events=events,
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             name=str(data.get("name", "")),
         )
 
@@ -175,7 +228,7 @@ class FaultPlan:
         try:
             data = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
-            raise FaultError(f"cannot read fault plan {path}: {exc}") from None
+            raise FaultError(f"cannot read plan {path}: {exc}") from None
         return cls.from_dict(data)
 
     # -- identity ----------------------------------------------------------
@@ -279,10 +332,15 @@ __all__ = [
     "FaultPlan",
     "HDFS_REPLICA_LOSS",
     "NODE_CRASH",
+    "NODE_DECOMMISSION",
+    "NODE_JOIN",
     "NODE_RECOVER",
+    "OFS_SERVER_ADD",
     "OFS_SERVER_LOSS",
     "OFS_SERVER_RECOVER",
+    "OFS_SERVER_REMOVE",
     "PLAN_SCHEMA",
+    "SCALE_KINDS",
     "TASK_FAILURE",
     "crash_storm_plan",
     "default_resilience_plan",

@@ -35,7 +35,6 @@ from repro.apps.base import AppProfile
 from repro.core.architectures import ArchitectureSpec
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.errors import ConfigurationError
-from repro.elastic.plan import ScalePlan
 from repro.faults.plan import FaultPlan
 from repro.units import parse_size
 
@@ -46,9 +45,11 @@ CACHE_SCHEMA = 1
 #: a model change alters simulation results; every cached result keyed
 #: under the old salt then misses and is recomputed.  (2026.08f: elastic
 #: membership (repro.elastic) landed — replay payloads gained
-#: decommission/join/healthy-capacity fields and CellSpec gained a
-#: scale_plan that hashes into keys, so pre-elastic entries must not be
-#: reused.)
+#: decommission/join/healthy-capacity fields, so pre-elastic entries
+#: must not be reused.)  Removing a CellSpec field changes every key
+#: without a salt bump: the separate scale-plan field left when scale
+#: events joined ``fault_plan``, so every key changed once while results
+#: stayed the same — a warm cache re-simulates once.
 CODE_SALT = f"repro-cells-v{CACHE_SCHEMA}-2026.08f"
 
 #: Cell kinds understood by :mod:`repro.runner.work`.
@@ -99,17 +100,13 @@ class CellSpec:
     num_jobs: int = 0
     shrink_factor: float = 5.0
     duration: Optional[float] = None
-    #: Fault schedule injected into the cell's deployment.  Part of the
-    #: content key (the full plan hashes into it), so a faulted run and a
-    #: healthy run of the same cell never collide in the cache — nor do
-    #: two different fault schedules.  An *empty* plan is normalised to
-    #: None, keeping "no faults" a single cache identity.
+    #: Event schedule — faults and elastic membership changes — injected
+    #: into the cell's deployment, isolated and replay cells alike.  Part
+    #: of the content key (the full plan hashes into it), so a faulted or
+    #: elastic run and a healthy run of the same cell never collide in
+    #: the cache — nor do two different schedules.  An *empty* plan is
+    #: normalised to None, keeping "no events" a single cache identity.
     fault_plan: Optional[FaultPlan] = None
-    #: Elastic-membership schedule (joins, graceful decommissions, OFS
-    #: resizes — :mod:`repro.elastic`), hashed into the content key with
-    #: the same empty-plan normalisation as ``fault_plan``: "static
-    #: cluster" stays a single cache identity.
-    scale_plan: Optional[ScalePlan] = None
     #: Attach an internal tracer and store a compact profiler summary
     #: (bucket attribution — see :mod:`repro.profiler`) in the payload.
     #: Part of the content key: profiled and bare payloads differ, so
@@ -124,8 +121,6 @@ class CellSpec:
             raise ConfigurationError(f"unknown cell kind {self.kind!r}")
         if self.fault_plan is not None and self.fault_plan.is_empty:
             object.__setattr__(self, "fault_plan", None)
-        if self.scale_plan is not None and self.scale_plan.is_empty:
-            object.__setattr__(self, "scale_plan", None)
         if self.kind == KIND_ISOLATED:
             if self.architecture is None or self.app is None:
                 raise ConfigurationError(
@@ -157,17 +152,18 @@ class CellSpec:
             assert self.app is not None
             return f"{self.app.name}@{int(self.input_bytes)}B on {arch}"
         if self.kind == KIND_REPLAY:
-            faults = (
-                f", {len(self.fault_plan)} faults" if self.fault_plan else ""
-            )
-            scales = (
-                f", {len(self.scale_plan)} scale events"
-                if self.scale_plan
-                else ""
+            events = self.fault_plan.events if self.fault_plan else ()
+            scales = sum(event.is_scale for event in events)
+            counts = "".join(
+                f", {count} {label}"
+                for count, label in (
+                    (len(events) - scales, "faults"), (scales, "scale events")
+                )
+                if count
             )
             return (
                 f"replay[{self.num_jobs} jobs, seed {self.seed}"
-                f"{faults}{scales}] on {arch}"
+                f"{counts}] on {arch}"
             )
         return f"probe[{self.probe}]"
 
@@ -202,11 +198,9 @@ def replay_cell(
     calibration: Calibration = DEFAULT_CALIBRATION,
     duration: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
-    scale_plan: Optional[ScalePlan] = None,
     profile: bool = False,
 ) -> CellSpec:
-    """One Section V trace-replay cell (optionally under fault and/or
-    scale plans)."""
+    """One Section V trace-replay cell (optionally under an event plan)."""
     return CellSpec(
         kind=KIND_REPLAY,
         architecture=architecture,
@@ -216,7 +210,6 @@ def replay_cell(
         shrink_factor=shrink_factor,
         duration=duration,
         fault_plan=fault_plan,
-        scale_plan=scale_plan,
         profile=profile,
     )
 

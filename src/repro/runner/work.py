@@ -146,7 +146,6 @@ def _execute_replay(
         tracer=tracer,
         metrics=metrics,
         fault_plan=cell.fault_plan,
-        scale_plan=cell.scale_plan,
     )
     results = deployment.run_trace(jobs, register_dataset=False)
     # A permanently dead cluster strands jobs with no event to finish

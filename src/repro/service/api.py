@@ -48,7 +48,6 @@ from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.deployment import Deployment
 from repro.core.scheduler import Decision, SizeAwareScheduler
 from repro.elastic.degrade import BrownoutConfig, HEALTH_BROWNED_OUT
-from repro.elastic.plan import ScalePlan
 from repro.errors import ServiceError
 from repro.faults.plan import FaultPlan
 from repro.mapreduce.job import JobResult
@@ -115,9 +114,10 @@ class ReproService:
         learned routing).  Tuners are single-use: pass a *fresh* one to
         :meth:`restore` and replay re-derives its learned state along
         with everything else.
-    fault_plan / scale_plan / autoscaler:
-        Optional fault schedule, elastic-membership schedule and
-        reactive autoscaler, threaded to the deployment.  Plans are
+    fault_plan / autoscaler:
+        Optional event schedule (faults and elastic membership changes,
+        docs/FAULTS.md) and reactive autoscaler, threaded to the
+        deployment.  Plans are
         deployment state, not admission-log state, so :meth:`restore`
         takes them again (like ``tuner``) — pass the same ones and
         replay reproduces the same churn.
@@ -151,7 +151,6 @@ class ReproService:
         metrics: Optional[MetricsRegistry] = None,
         tuner: Optional["Tuner"] = None,
         fault_plan: Optional[FaultPlan] = None,
-        scale_plan: Optional[ScalePlan] = None,
         autoscaler: Optional["Autoscaler"] = None,
         brownout: Optional[BrownoutConfig] = None,
         bus: Optional[MetricsBus] = None,
@@ -171,7 +170,6 @@ class ReproService:
             metrics=self.metrics,
             tuner=tuner,
             fault_plan=fault_plan,
-            scale_plan=scale_plan,
             autoscaler=autoscaler,
             brownout=self.brownout,
         )
@@ -472,7 +470,6 @@ class ReproService:
         metrics: Optional[MetricsRegistry] = None,
         tuner: Optional["Tuner"] = None,
         fault_plan: Optional[FaultPlan] = None,
-        scale_plan: Optional[ScalePlan] = None,
         autoscaler: Optional["Autoscaler"] = None,
         brownout: Optional[BrownoutConfig] = None,
         bus: Optional[MetricsBus] = None,
@@ -493,7 +490,7 @@ class ReproService:
         every observation, publish point and router update on the
         simulation clock, converging to the same learned state
         (pinned by ``tests/test_tune.py``).  Likewise ``fault_plan``,
-        ``scale_plan``, ``autoscaler`` and ``brownout``: plans are
+        ``autoscaler`` and ``brownout``: plans are
         deployment configuration, not admission-log state, so pass the
         originals and replay reproduces the same churn byte-identically
         (forced re-admission bypasses shedding, so the log replays
@@ -518,7 +515,6 @@ class ReproService:
             metrics=metrics,
             tuner=tuner,
             fault_plan=fault_plan,
-            scale_plan=scale_plan,
             autoscaler=autoscaler,
             brownout=brownout,
             bus=bus,

@@ -2,9 +2,10 @@
 
 The contracts pinned here:
 
-* **plans** — :class:`ScalePlan` round-trips, validates, and hashes like
-  a :class:`FaultPlan`; an *empty* plan is byte-identical to no plan at
-  all, and normalises away in :class:`CellSpec` cache keys;
+* **plans** — scale events ride in a :class:`FaultPlan`, which
+  round-trips, validates and hashes them like faults; an *empty* plan is
+  byte-identical to no plan at all, and normalises away in
+  :class:`CellSpec` cache keys;
 * **drain vs crash** — a graceful decommission lets running attempts
   finish and only then retires the node; a crash mid-drain wins (the
   drain cancels, attempts requeue); a recover mid-drain cancels the
@@ -34,11 +35,6 @@ from repro.elastic import (
     HEALTH_BROWNED_OUT,
     HEALTH_DEGRADED,
     HEALTH_OK,
-    NODE_DECOMMISSION,
-    NODE_JOIN,
-    OFS_SERVER_ADD,
-    ScaleEvent,
-    ScalePlan,
     ThresholdAutoscaler,
     check_invariants,
     default_elastic_plan,
@@ -48,9 +44,18 @@ from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
     ElasticError,
+    FaultError,
     ServiceError,
 )
-from repro.faults import NODE_CRASH, NODE_RECOVER, FaultEvent, FaultPlan
+from repro.faults import (
+    NODE_CRASH,
+    NODE_DECOMMISSION,
+    NODE_JOIN,
+    NODE_RECOVER,
+    OFS_SERVER_ADD,
+    FaultEvent,
+    FaultPlan,
+)
 from repro.runner.spec import replay_cell
 from repro.service import (
     CheckpointStore,
@@ -69,45 +74,46 @@ from tests.test_service import make_trace, results_bytes, submissions_for
 
 class TestScalePlan:
     def test_events_sorted_by_time(self):
-        plan = ScalePlan(events=(
-            ScaleEvent(time=9.0, kind=NODE_JOIN),
-            ScaleEvent(time=2.0, kind=NODE_DECOMMISSION, node=1),
+        plan = FaultPlan(events=(
+            FaultEvent(time=9.0, kind=NODE_JOIN),
+            FaultEvent(time=2.0, kind=NODE_DECOMMISSION, node=1),
         ))
         assert [e.time for e in plan.events] == [2.0, 9.0]
 
     def test_validation(self):
-        with pytest.raises(ElasticError):
-            ScaleEvent(time=-1.0, kind=NODE_JOIN)
-        with pytest.raises(ElasticError):
-            ScaleEvent(time=0.0, kind="teleport")
-        with pytest.raises(ElasticError):
-            ScaleEvent(time=0.0, kind=NODE_DECOMMISSION, node=-1)
-        with pytest.raises(ElasticError):
-            ScaleEvent(time=0.0, kind=NODE_JOIN, count=0)
+        with pytest.raises(FaultError):
+            FaultEvent(time=-1.0, kind=NODE_JOIN)
+        with pytest.raises(FaultError):
+            FaultEvent(time=0.0, kind="teleport")
+        with pytest.raises(FaultError):
+            FaultEvent(time=0.0, kind=NODE_DECOMMISSION, node=-1)
+        with pytest.raises(FaultError):
+            FaultEvent(time=0.0, kind=NODE_JOIN, count=0)
 
     def test_round_trip(self, tmp_path):
+        # What `repro elastic --save-plan` writes, `replay --faults` loads.
         plan = default_elastic_plan(1000.0, seed=3)
-        again = ScalePlan.from_dict(plan.to_dict())
+        again = FaultPlan.from_dict(plan.to_dict())
         assert again == plan
         path = plan.save(tmp_path / "plan.json")
-        assert ScalePlan.load(path) == plan
-        assert ScalePlan.load(path).content_key() == plan.content_key()
+        assert FaultPlan.load(path) == plan
+        assert FaultPlan.load(path).content_key() == plan.content_key()
 
     def test_load_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ElasticError):
-            ScalePlan.load(bad)
-        with pytest.raises(ElasticError):
-            ScalePlan.load(tmp_path / "missing.json")
-        with pytest.raises(ElasticError):
-            ScalePlan.from_dict({"schema": 99, "events": []})
+        with pytest.raises(FaultError):
+            FaultPlan.load(bad)
+        with pytest.raises(FaultError):
+            FaultPlan.load(tmp_path / "missing.json")
+        with pytest.raises(FaultError):
+            FaultPlan.from_dict({"schema": 99, "events": []})
 
     def test_content_key_sees_every_field(self):
-        base = ScalePlan(events=(ScaleEvent(time=1.0, kind=NODE_JOIN),))
-        moved = ScalePlan(events=(ScaleEvent(time=2.0, kind=NODE_JOIN),))
-        renamed = ScalePlan(
-            events=(ScaleEvent(time=1.0, kind=NODE_JOIN),), name="x"
+        base = FaultPlan(events=(FaultEvent(time=1.0, kind=NODE_JOIN),))
+        moved = FaultPlan(events=(FaultEvent(time=2.0, kind=NODE_JOIN),))
+        renamed = FaultPlan(
+            events=(FaultEvent(time=1.0, kind=NODE_JOIN),), name="x"
         )
         keys = {base.content_key(), moved.content_key(), renamed.content_key()}
         assert len(keys) == 3
@@ -120,9 +126,9 @@ class TestScalePlan:
         plan = default_elastic_plan(100.0)
         static = replay_cell(rhadoop(), num_jobs=5)
         explicit_empty = replay_cell(
-            rhadoop(), num_jobs=5, scale_plan=ScalePlan.empty()
+            rhadoop(), num_jobs=5, fault_plan=FaultPlan.empty()
         )
-        elastic = replay_cell(rhadoop(), num_jobs=5, scale_plan=plan)
+        elastic = replay_cell(rhadoop(), num_jobs=5, fault_plan=plan)
         # Empty plan normalises away: one cache identity for "static".
         assert explicit_empty.content_key() == static.content_key()
         assert elastic.content_key() != static.content_key()
@@ -134,7 +140,7 @@ class TestEmptyPlanIdentity:
         jobs = make_trace(20).to_jobspecs()
         plain = Deployment(hybrid()).run_trace(jobs)
         empty = Deployment(
-            hybrid(), scale_plan=ScalePlan.empty()
+            hybrid(), fault_plan=FaultPlan.empty()
         ).run_trace(jobs)
         # A brownout config with no transitions is a pure observer too.
         observed = Deployment(
@@ -231,12 +237,12 @@ class TestDeploymentElastic:
         assert summary["scale_events_applied"] == 0
 
     def test_elastic_summary_counts_plan_actions(self):
-        plan = ScalePlan(events=(
-            ScaleEvent(time=1.0, kind=NODE_JOIN, member="out"),
-            ScaleEvent(time=2.0, kind=NODE_DECOMMISSION, member="up", node=0),
-            ScaleEvent(time=3.0, kind=OFS_SERVER_ADD, count=1),
+        plan = FaultPlan(events=(
+            FaultEvent(time=1.0, kind=NODE_JOIN, member="out"),
+            FaultEvent(time=2.0, kind=NODE_DECOMMISSION, member="up", node=0),
+            FaultEvent(time=3.0, kind=OFS_SERVER_ADD, count=1),
         ))
-        deployment = Deployment(rhadoop(), scale_plan=plan)
+        deployment = Deployment(rhadoop(), fault_plan=plan)
         deployment.run_trace(make_trace(10).to_jobspecs())
         summary = deployment.elastic_summary()
         # The join and the OFS add apply; RHadoop has no "up" member.
@@ -456,28 +462,24 @@ class TestBrownout:
 
 
 class TestDurabilityUnderChurn:
-    def churn_plans(self):
-        scale = ScalePlan(events=(
-            ScaleEvent(time=30.0, kind=NODE_DECOMMISSION, member="out", node=11),
-            ScaleEvent(time=90.0, kind=NODE_JOIN, member="out"),
-        ))
-        faults = FaultPlan(events=(
+    def churn_plan(self):
+        return FaultPlan(events=(
             FaultEvent(time=50.0, kind=NODE_CRASH, member="out", node=3),
             FaultEvent(time=80.0, kind=NODE_RECOVER, member="out", node=3),
+            FaultEvent(time=30.0, kind=NODE_DECOMMISSION, member="out", node=11),
+            FaultEvent(time=90.0, kind=NODE_JOIN, member="out"),
         ))
-        return scale, faults
 
     def test_kill_restore_mid_churn_is_byte_identical(self, tmp_path):
         trace = make_trace(40)
-        scale, faults = self.churn_plans()
+        plan = self.churn_plan()
         reference = Deployment(
-            hybrid(), fault_plan=faults, scale_plan=scale
+            hybrid(), fault_plan=plan
         ).run_trace(trace.to_jobspecs())
 
         path = str(tmp_path / "state.json")
         service = ReproService(
-            "Hybrid", checkpoint_path=path,
-            fault_plan=faults, scale_plan=scale,
+            "Hybrid", checkpoint_path=path, fault_plan=plan,
         )
         for sub in submissions_for(trace):
             assert service.submit(sub).accepted
@@ -486,9 +488,7 @@ class TestDurabilityUnderChurn:
         service.checkpoint()
         del service  # the crash
 
-        restored = ReproService.restore(
-            path, fault_plan=faults, scale_plan=scale
-        )
+        restored = ReproService.restore(path, fault_plan=plan)
         summary = restored.drain()
         assert summary["accepted"] == summary["finished"] == 40
         assert check_invariants(

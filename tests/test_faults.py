@@ -317,8 +317,8 @@ class TestInjection:
         deployment = Deployment(thadoop(), fault_plan=plan)
         deployment.run_trace([trace_job("a", 1.0)])
         assert deployment.injector is not None
-        assert deployment.injector.injected == 0
-        assert deployment.injector.skipped == 2
+        assert deployment.injector.counts["faults.injected"] == 0
+        assert deployment.injector.counts["faults.skipped"] == 2
 
     def test_hdfs_replica_loss_rereplicates(self):
         plan = FaultPlan(events=(

@@ -45,6 +45,8 @@ _COUNTER_ROWS = (
     ("jobs_requeued", "jobs requeued"),
     ("jobs_rejected", "jobs rejected"),
     ("storage_data_loss", "storage data loss"),
+    ("scale_events_applied", "scale events applied"),
+    ("scale_events_skipped", "scale events skipped"),
 )
 
 

@@ -399,6 +399,12 @@ class ServiceState:
     and consistency checks, not as execution state.  ``counters`` holds
     every ``service.admission.*`` counter, keyed by the name after that
     prefix (``accepted``, ``rejected.<reason>`` ...).
+
+    The same wire form is each record of the checkpoint journal
+    (:mod:`repro.service.checkpoint`): the first record is a full
+    state, and each later one holds only the ``accepted`` and
+    ``finished`` entries new since the record before it, with the
+    current ``clock`` and ``counters``.
     """
 
     architecture: str

@@ -3,14 +3,14 @@
 Promotes :class:`~repro.core.deployment.Deployment` from batch
 ``run_trace`` replays to a long-running service with streaming NDJSON
 job admission, live Algorithm-1 routing, bounded-queue backpressure,
-atomic checkpoint/restore (recovery by deterministic replay), and a
+journaled checkpoint/restore (recovery by deterministic replay), and a
 stdlib HTTP surface — see docs/SERVICE.md.
 
 Layering::
 
     server   HTTP endpoints (http.server, stdlib only)
     api      ReproService engine + ServiceClient
-    admission / checkpoint / models   bounded queues, snapshots, records
+    admission / checkpoint / models   bounded queues, journal, records
 
 The wire schemas (:class:`JobSubmission`, :class:`JobStatus`,
 :class:`ServiceState`, :func:`validate_ndjson`) live in

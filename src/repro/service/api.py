@@ -14,11 +14,13 @@ behind streaming job admission:
   determines the event schedule and a trace streamed through the service
   produces byte-identical results to ``Deployment.run_trace`` (pinned by
   ``tests/test_service.py``);
-* **durability** — every accepted submission joins an admission log that
-  checkpoints atomically (:class:`~repro.service.checkpoint.CheckpointStore`)
-  and restores by deterministic replay: a fresh deployment re-admits the
-  log in order, so a service killed mid-run recovers with no job lost,
-  none double-counted, and identical results after drain.
+* **durability** — every accepted submission joins an admission log
+  that is journaled (:class:`~repro.service.checkpoint.CheckpointStore`):
+  every accepted batch, drain and shutdown writes one fsynced record of
+  what is new (or, now and then, the whole log compacted), and the log
+  restores by deterministic replay — a fresh deployment re-admits it in
+  order, so a service killed mid-run recovers with no job lost, none
+  double-counted, and identical results after drain.
 
 Thread safety: every public method takes the service lock, so the HTTP
 layer (:mod:`repro.service.server`) can serve concurrent requests from
@@ -107,8 +109,8 @@ class ReproService:
     policy:
         Admission bounds; default unbounded.
     checkpoint_path:
-        When set, the admission log checkpoints here automatically after
-        every accepted batch and every drain.
+        When set, the admission log is journaled here automatically
+        after every accepted batch and every drain.
     tuner:
         Optional :class:`~repro.tune.tuner.Tuner` (online calibration /
         learned routing).  Tuners are single-use: pass a *fresh* one to

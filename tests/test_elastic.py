@@ -22,11 +22,20 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from repro.core.api import JobSubmission
+import repro
+
+from repro.core.api import JobSubmission, ServiceState
 from repro.core.architectures import hybrid, rhadoop
 from repro.core.deployment import Deployment
 from repro.elastic import (
@@ -497,44 +506,75 @@ class TestDurabilityUnderChurn:
         assert results_bytes(restored.results) == results_bytes(reference)
 
 
-class TestCheckpointStore:
-    def states(self, tmp_path, count):
-        """Distinct, valid ServiceStates (one per admitted job)."""
-        service = ReproService("Hybrid")
-        states = []
-        for i in range(count):
-            service.submit(JobSubmission(job_id=f"j{i}", input_bytes=1 * GB))
-            states.append(service.state())
-        return states
+def service_states(count):
+    """Distinct, valid ServiceStates (one per admitted job)."""
+    service = ReproService("Hybrid")
+    states = []
+    for i in range(count):
+        service.submit(JobSubmission(job_id=f"j{i}", input_bytes=1 * GB))
+        states.append(service.state())
+    return states
 
+
+def journal_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestCheckpointStore:
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ServiceError):
             CheckpointStore(tmp_path / "s.json", keep=0)
 
     def test_rotation_keeps_last_n(self, tmp_path):
-        store = CheckpointStore(tmp_path / "s.json", keep=3)
-        states = self.states(tmp_path, 4)
+        # A store instance compacts on its first save, and every
+        # compaction rotates the generations down one slot.
+        states = service_states(4)
         for state in states:
-            store.save(state)
+            CheckpointStore(tmp_path / "s.json", keep=3).save(state)
+        store = CheckpointStore(tmp_path / "s.json", keep=3)
         paths = store.generations()
         assert all(p.exists() for p in paths)
         assert not (tmp_path / "s.json.3").exists()  # oldest fell off
-        # Newest-first: path holds state 4, path.1 state 3, path.2 state 2.
+        # Newest-first: path holds state 4, path.1 state 3, path.2 state 2,
+        # each as one compacted record.
         for path, state in zip(paths, reversed(states[1:])):
-            assert json.loads(path.read_text()) == state.to_wire()
+            assert journal_records(path) == [state.to_wire()]
         loaded = store.load()
         assert loaded is not None
         assert loaded.to_wire() == states[-1].to_wire()
 
-    def test_corrupt_newest_falls_back(self, tmp_path):
+    def test_appends_do_not_rotate(self, tmp_path):
+        states = service_states(25)
         store = CheckpointStore(tmp_path / "s.json", keep=3)
-        states = self.states(tmp_path, 2)
-        for state in states:
+        for state in states[19:]:
             store.save(state)
+        assert not (tmp_path / "s.json.1").exists()
+        records = journal_records(tmp_path / "s.json")
+        assert records[0] == states[19].to_wire()
+        assert [len(r["accepted"]) for r in records] == [20, 1, 1, 1, 1, 1]
+        assert store.load().to_wire() == states[-1].to_wire()
+
+    def test_corrupt_newest_falls_back(self, tmp_path):
+        states = service_states(3)
+        for state in states[:2]:
+            CheckpointStore(tmp_path / "s.json", keep=3).save(state)
         (tmp_path / "s.json").write_text("{torn write")
-        loaded = store.load()
+        loaded = CheckpointStore(tmp_path / "s.json", keep=3).load()
         assert loaded is not None
         assert loaded.to_wire() == states[0].to_wire()
+
+    def test_corrupt_first_record_drops_its_appends(self, tmp_path):
+        states = service_states(12)
+        CheckpointStore(tmp_path / "s.json").save(states[0])
+        store = CheckpointStore(tmp_path / "s.json")
+        for state in states[9:]:
+            store.save(state)  # one compaction, then appends
+        path = tmp_path / "s.json"
+        assert len(journal_records(path)) == 3
+        path.write_text("{torn" + path.read_text()[5:])
+        # The appends extend a record that is gone: the whole file is
+        # skipped, never half-applied.
+        assert store.load().to_wire() == states[0].to_wire()
 
     @pytest.mark.parametrize("value", ["x", [3]])
     def test_bad_counter_in_newest_falls_back(self, tmp_path, value):
@@ -544,9 +584,10 @@ class TestCheckpointStore:
         service.checkpoint()
         service.submit(JobSubmission(job_id="j1", input_bytes=1 * GB))
         service.checkpoint()
-        newest = json.loads(path.read_text())
-        newest["counters"]["accepted"] = value
-        path.write_text(json.dumps(newest))
+        records = journal_records(path)
+        assert [len(r["accepted"]) for r in records] == [1, 1]
+        records[-1]["counters"]["accepted"] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
         restored = ReproService.restore(str(path))
         assert [s.job_id for s in restored.state().accepted] == ["j0"]
@@ -562,3 +603,185 @@ class TestCheckpointStore:
 
     def test_no_snapshots_is_none(self, tmp_path):
         assert CheckpointStore(tmp_path / "s.json").load() is None
+
+
+class TestCheckpointJournal:
+    """One record per save; load folds them back into the saved state."""
+
+    def test_every_save_round_trips(self, tmp_path):
+        trace = make_trace(640)
+        subs = submissions_for(trace)
+        path = tmp_path / "s.json"
+        service = ReproService("Hybrid", checkpoint_path=str(path))
+        compactions, inode = 0, None
+        for start in range(0, len(subs), 10):
+            chunk = subs[start:start + 10]
+            statuses, _ = service.submit_ndjson(
+                "".join(json.dumps(s.to_wire()) + "\n" for s in chunk)
+            )
+            assert all(s.accepted for s in statuses)
+            assert CheckpointStore(path).load().to_wire() == service.state().to_wire()
+            compactions += path.stat().st_ino != inode
+            inode = path.stat().st_ino
+            # Jobs finish out of admission order between saves.
+            service.advance_until(chunk[-1].arrival_time)
+        service.drain()
+        loaded = CheckpointStore(path).load()
+        assert loaded.to_wire() == service.state().to_wire()
+        assert len(loaded.finished) == 640
+        assert compactions >= 3
+
+    def test_torn_tail_loads_previous_record(self, tmp_path):
+        states = service_states(6)
+        path = tmp_path / "s.json"
+        store = CheckpointStore(path)
+        for state in states[3:]:
+            store.save(state)
+        data = path.read_bytes()
+        start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        end = len(data) - 1  # the last record's closing newline
+        os.truncate(path, end)
+        assert store.load().to_wire() == states[5].to_wire()
+        for cut in reversed(range(start, end)):
+            os.truncate(path, cut)
+            assert store.load().to_wire() == states[4].to_wire(), cut
+
+    @pytest.mark.parametrize("field,value", [
+        ("architecture", "THadoop"),
+        ("max_total_pending", 5),
+        ("counters", {"accepted": -1}),
+    ])
+    def test_load_stops_at_the_first_bad_record(self, tmp_path, field, value):
+        states = service_states(7)
+        path = tmp_path / "s.json"
+        store = CheckpointStore(path)
+        for state in states[4:]:
+            store.save(state)
+        records = journal_records(path)
+        assert len(records) == 3
+        records[1][field] = value  # the record after it is intact
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert store.load().to_wire() == states[4].to_wire()
+
+    def test_state_that_does_not_extend_the_journal_compacts(self, tmp_path):
+        states = service_states(6)
+        done = dataclasses.replace(states[5], finished=["j0", "j1"])
+        stream = [
+            states[5], states[3],  # the log got shorter
+            states[4], dataclasses.replace(states[4], accepted=states[5].accepted[1:]),
+            done, dataclasses.replace(done, finished=["j1"]),  # j0 unfinished
+            done, dataclasses.replace(done, register=True),
+        ]
+        path = tmp_path / "s.json"
+        store = CheckpointStore(path, keep=1)
+        for first, second in zip(stream[::2], stream[1::2]):
+            store.save(first)
+            store.save(second)
+            assert len(journal_records(path)) == 1
+            assert store.load().to_wire() == second.to_wire()
+
+    def test_restarted_store_never_appends_after_a_torn_tail(self, tmp_path):
+        states = service_states(6)
+        path = tmp_path / "s.json"
+        store = CheckpointStore(path)
+        for state in states[3:5]:
+            store.save(state)
+        path.write_bytes(path.read_bytes()[:-7])
+        CheckpointStore(path).save(states[5])
+        assert path.read_text().count("\n") == 1
+        assert CheckpointStore(path).load().to_wire() == states[5].to_wire()
+
+    def test_sigkilled_appender_keeps_its_committed_prefix(self, tmp_path):
+        path = tmp_path / "s.json"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", APPENDER, str(path)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        # A child that never commits is killed after 60 s, so its stdout
+        # ends and the readline below fails instead of hanging.
+        deadline = threading.Timer(60, child.kill)
+        deadline.start()
+        try:
+            reported = [int(child.stdout.readline()) for _ in range(5)]
+            child.send_signal(signal.SIGKILL)
+            tail, _ = child.communicate(timeout=60)
+            assert child.returncode == -signal.SIGKILL
+            reported += [int(line) for line in tail.split()]
+        finally:
+            deadline.cancel()
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+
+        loaded = CheckpointStore(path).load()
+        count = len(loaded.accepted)
+        # Every save the child saw return is there; at most one more
+        # save returned before the kill landed ahead of its report.
+        assert reported[-1] <= count <= reported[-1] + 1
+        assert loaded.to_wire() == appended_state(count).to_wire()
+
+    def test_legacy_indented_checkpoint_restores_and_drains(self, tmp_path):
+        trace = make_trace(20)
+        reference = Deployment(hybrid()).run_trace(trace.to_jobspecs())
+        service = ReproService("Hybrid")
+        for sub in submissions_for(trace):
+            assert service.submit(sub).accepted
+        service.advance_until(100.0)
+        assert 0 < len(service.results) < 20
+        path = tmp_path / "state.json"
+        # The single-document format written before the journal.
+        path.write_text(json.dumps(service.state().to_wire(), indent=1, sort_keys=True))
+
+        assert CheckpointStore(path).load().to_wire() == service.state().to_wire()
+        restored = ReproService.restore(str(path))
+        summary = restored.drain()
+        assert summary["accepted"] == summary["finished"] == 20
+        assert results_bytes(restored.results) == results_bytes(reference)
+        # The drain's checkpoint compacted: the legacy file rotated away.
+        assert (tmp_path / "state.json.1").exists()
+        assert len(path.read_text().splitlines()) == 1
+
+
+#: A child that saves an ever-longer stream of states through one store
+#: and prints each job count after its save returns; the states are
+#: :func:`appended_state`'s.
+APPENDER = """
+import sys
+from repro.core.api import JobSubmission, ServiceState
+from repro.service import CheckpointStore
+
+store = CheckpointStore(sys.argv[1])
+accepted = []
+for count in range(1, 10**6):
+    i = count - 1
+    accepted.append(JobSubmission(job_id=f"j{i}", input_bytes=(i + 1) << 30,
+                                  arrival_time=float(i)))
+    store.save(ServiceState(
+        architecture="Hybrid", register=False, clock=float(count),
+        accepted=list(accepted),
+        finished=[s.job_id for s in accepted[: count // 2]],
+        counters={"accepted": count},
+    ))
+    print(count, flush=True)
+"""
+
+
+def appended_state(count):
+    """The state the appender child saves after admitting ``count`` jobs."""
+    accepted = [
+        JobSubmission(job_id=f"j{i}", input_bytes=(i + 1) * GB, arrival_time=float(i))
+        for i in range(count)
+    ]
+    return ServiceState(
+        architecture="Hybrid",
+        register=False,
+        clock=float(count),
+        accepted=accepted,
+        finished=[s.job_id for s in accepted[: count // 2]],
+        counters={"accepted": count},
+    )

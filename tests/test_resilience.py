@@ -83,6 +83,26 @@ class TestExperiment:
         assert "faults injected" in text
         assert "plan events:" in text
 
+    def test_render_counts_scale_events(self):
+        from repro.elastic import default_elastic_plan
+        from repro.workload.fb2009 import DAY
+
+        plan = default_elastic_plan(DAY * JOBS / 6000.0, seed=0)
+        report = resilience_experiment(num_jobs=JOBS, fault_plan=plan)
+        archs = list(report.architectures.values())
+        for arch in archs:
+            assert arch.faults["injected_events"] == 0
+            assert arch.faults["scale_events_applied"] > 0
+            assert (arch.faults["scale_events_applied"]
+                    + arch.faults["scale_events_skipped"]) == len(plan.events)
+        rows = {
+            " ".join(line.split()[:-len(archs)]): line.split()[-len(archs):]
+            for line in render_resilience(report).splitlines()
+        }
+        for key, label in (("scale_events_applied", "scale events applied"),
+                           ("scale_events_skipped", "scale events skipped")):
+            assert rows[label] == [str(arch.faults[key]) for arch in archs]
+
 
 class TestCli:
     def test_resilience_command(self, capsys, tmp_path):

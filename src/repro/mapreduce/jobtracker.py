@@ -558,7 +558,8 @@ class JobTracker:
         self._account()
         self._sample_queues()
         while len(self._map_queue):
-            if self._pick_node(self._free_map) is None:
+            node = self._pick_node(self._free_map)
+            if node is None:
                 return
             entry = self._map_queue.pop()
             if entry is None:
@@ -570,7 +571,9 @@ class JobTracker:
                 # drop the entry, keeping queue accounting balanced.
                 self._map_queue.task_finished(state)
                 continue
-            node = self._pick_map_node(state, idx)
+            if self.block_map is not None:
+                # Without a block map the guard's node is the placement.
+                node = self._pick_map_node(state, idx)
             self._free_map[node.index] -= 1
             self._free_map_total -= 1
             self._start_map(state, idx, node)

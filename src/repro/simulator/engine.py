@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation loop.
 
 The engine is intentionally tiny: a binary heap (:mod:`heapq`) of
-``(time, seq, callback)`` events and a clock.  Everything else (slots,
+``(time, seq, event)`` tuples and a clock.  Everything else (slots,
 bandwidth sharing, tasks, jobs) is built on top as ordinary Python
 objects that schedule callbacks.
 
@@ -9,14 +9,17 @@ Determinism: events at equal times fire in scheduling order (the ``seq``
 tie-breaker), so two runs with the same inputs produce byte-identical
 results.  That ``(time, seq)`` total order is pinned by
 ``tests/test_engine.py`` and is what lets the calibration tests pin
-exact cross points (docs/KERNEL.md).
+exact cross points (docs/KERNEL.md).  ``seq`` is unique, so a heap
+comparison never reaches the ``event`` and runs as a C tuple compare.
+Cancellation is lazy: a cancelled event keeps its heap entry and is
+skipped when popped.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -37,9 +40,6 @@ class _Event:
         self.fn = fn
         self.cancelled = False
 
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def cancel(self) -> None:
         """Mark the event so :meth:`Simulation.run` skips it."""
         self.cancelled = True
@@ -58,7 +58,7 @@ class Simulation:
 
     def __init__(self, max_events: int = 50_000_000) -> None:
         self.now: float = 0.0
-        self._heap: List[_Event] = []
+        self._heap: List[Tuple[float, int, _Event]] = []
         self._seq = 0
         self._processed = 0
         self._max_events = max_events
@@ -103,9 +103,10 @@ class Simulation:
             raise SimulationError(
                 f"cannot schedule into the past (t={time!r} < now={self.now!r})"
             )
-        event = _Event(time, self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = _Event(time, seq, fn)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def call_soon(self, fn: Callable[[], Any]) -> _Event:
@@ -132,10 +133,9 @@ class Simulation:
         heap = self._heap
         try:
             while heap:
-                event = heap[0]
-                if event.time > limit:
+                if heap[0][0] > limit:
                     break
-                heapq.heappop(heap)
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     continue
                 self._processed += 1
@@ -169,7 +169,7 @@ class Simulation:
         heap = self._heap
         try:
             while heap:
-                event = heapq.heappop(heap)
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     continue
                 self._processed += 1

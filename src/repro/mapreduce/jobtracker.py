@@ -17,12 +17,20 @@ Reducers launch when their job's maps are all done; the copy that real
 Hadoop overlaps with the map phase is modelled by charging only the
 post-map *residual* (see ``HadoopConfig.shuffle_residual``), matching the
 paper's phase-duration definitions.
+
+Each stage is a method over one :class:`_Attempt` record, scheduled as
+``partial(method, attempt)``; traced, metrics-only and bare runs take
+the same stages and differ only in which spans and metrics they emit.
+A slot is taken in one place (:meth:`JobTracker._launch`) and returned
+in one place (:meth:`JobTracker._release`), whether the attempt
+finished or died.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
@@ -39,18 +47,31 @@ from repro.units import blocks_for
 
 JobCallback = Callable[[JobResult], None]
 
+#: Per task kind: the task span's name and its stage-arg names in
+#: lifecycle order, each the gap between consecutive ``_Attempt.marks``.
+_SPANS = {
+    "map": ("map_task", ("overhead", "read", "cpu", "store")),
+    "reduce": ("reduce_task", ("overhead", "wait", "copy", "cpu", "write")),
+}
+
 
 class _Attempt:
-    """One live task-attempt: the unit fault injection can kill.
+    """One live task attempt: the record its stage methods share, and
+    the unit fault injection can kill.
 
-    In-flight attempts are closure chains on the simulation clock and
-    cannot be unscheduled; killing one sets ``aborted`` and every stage
-    callback checks the flag and returns.  In-flight storage transfers
-    run to completion (their bandwidth stays charged — a conservative
+    A map runs ``_map_read -> _map_cpu -> _map_store -> _map_done`` and
+    a reduce ``_reduce_begin -> _reduce_copy -> _reduce_copied ->
+    _reduce_write -> _reduce_done``.  Scheduled stages cannot be
+    unscheduled; killing an attempt sets ``aborted`` and every stage
+    checks the flag and returns.  In-flight storage transfers run to
+    completion (their bandwidth stays charged — a conservative
     approximation of Hadoop killing a task whose I/O is mid-stream).
     """
 
-    __slots__ = ("state", "idx", "node", "kind", "speculative", "aborted", "copied")
+    __slots__ = (
+        "state", "idx", "node", "kind", "speculative", "aborted", "copied",
+        "start", "jitter", "io_bytes", "cpu_seconds", "copy_start", "marks",
+    )
 
     def __init__(
         self,
@@ -58,7 +79,8 @@ class _Attempt:
         idx: int,
         node: NodeRuntime,
         kind: str,
-        speculative: bool = False,
+        speculative: bool,
+        start: float,
     ) -> None:
         self.state = state
         self.idx = idx
@@ -68,6 +90,15 @@ class _Attempt:
         self.aborted = False
         #: Reduce only: this attempt already counted in reduces_copied.
         self.copied = False
+        self.start = start
+        self.jitter = 1.0
+        #: Map input read / reduce shuffle-store bytes.
+        self.io_bytes = 0.0
+        self.cpu_seconds = 0.0
+        self.copy_start = start
+        #: Stage start times (traced runs only; pure local state, so the
+        #: simulated event sequence is identical either way).
+        self.marks: Optional[List[float]] = None
 
 
 def decide_num_reducers(
@@ -204,10 +235,11 @@ class JobTracker:
         # once here so per-task telemetry paths don't rebuild them.
         metric = f"{self.name}.%s".__mod__
         self._m_jobs_submitted = metric("jobs_submitted")
-        self._m_map_tasks_finished = metric("map_tasks_finished")
-        self._m_map_task_seconds = metric("map_task_seconds")
-        self._m_reduce_tasks_finished = metric("reduce_tasks_finished")
-        self._m_reduce_task_seconds = metric("reduce_task_seconds")
+        #: Per task kind: (tasks-finished counter, task-seconds histogram).
+        self._m_tasks = {
+            kind: (metric(f"{kind}_tasks_finished"), metric(f"{kind}_task_seconds"))
+            for kind in _SPANS
+        }
         self._m_jobs_completed = metric("jobs_completed")
         self._m_job_seconds = metric("job_seconds")
         self._m_job_queue_seconds = metric("job_queue_seconds")
@@ -383,21 +415,8 @@ class JobTracker:
             metrics.counter(self._m_jobs_submitted).inc()
 
         def complete() -> None:
-            result.end_time = self.sim.now
-            self._active_jobs -= 1
             self._committed_map_tasks -= num_maps
-            self.results.append(result)
-            done_metrics = self.sim.metrics
-            if done_metrics is not None:
-                done_metrics.counter(self._m_jobs_completed).inc()
-                done_metrics.histogram(self._m_job_seconds).observe(
-                    result.execution_time
-                )
-                done_metrics.histogram(self._m_job_queue_seconds).observe(
-                    result.queue_delay
-                )
-            if on_complete is not None:
-                on_complete(result)
+            self._report_job(result, on_complete)
 
         self.sim.schedule_at(result.last_shuffle_end + reduce_phase, complete)
 
@@ -574,9 +593,7 @@ class JobTracker:
             if self.block_map is not None:
                 # Without a block map the guard's node is the placement.
                 node = self._pick_map_node(state, idx)
-            self._free_map[node.index] -= 1
-            self._free_map_total -= 1
-            self._start_map(state, idx, node)
+            self._launch(state, idx, node, "map")
         if self.config.speculative_execution:
             self._dispatch_speculative_maps()
 
@@ -642,9 +659,7 @@ class JobTracker:
             state, idx = straggler
             state.map_duplicated.add(idx)
             self.speculative_launches += 1
-            self._free_map[node.index] -= 1
-            self._free_map_total -= 1
-            self._start_map(state, idx, node, speculative=True)
+            self._launch(state, idx, node, "map", speculative=True)
 
     def _dispatch_reduces(self) -> None:
         self._account()
@@ -660,191 +675,234 @@ class JobTracker:
             if state.failed:
                 self._reduce_queue.task_finished(state)
                 continue
-            self._free_reduce[node.index] -= 1
-            self._free_reduce_total -= 1
-            self._start_reduce(state, idx, node)
+            self._launch(state, idx, node, "reduce")
 
-    # -- map task lifecycle -------------------------------------------------
+    # -- task lifecycle -----------------------------------------------------
 
-    def _start_map(
+    def _launch(
         self,
         state: _JobState,
         idx: int,
         node: NodeRuntime,
+        kind: str,
         speculative: bool = False,
     ) -> None:
-        """Run one copy of map task ``idx``.
+        """Take a ``kind`` slot on ``node`` and start an attempt of task
+        ``idx`` there — the one slot take; :meth:`_release` gives it back."""
+        i = node.index
+        if kind == "map":
+            self._free_map[i] -= 1
+            self._free_map_total -= 1
+        else:
+            self._free_reduce[i] -= 1
+            self._free_reduce_total -= 1
+        node.task_started()
+        attempt = _Attempt(state, idx, node, kind, speculative, self.sim.now)
+        self._live_attempts[i].append(attempt)
+        attempt.jitter = state.jitter(self.config.task_jitter)
+        if self.sim.tracer is not None:
+            attempt.marks = [attempt.start]
+        if kind == "map":
+            self._start_map(attempt)
+        else:
+            self._start_reduce(attempt)
+
+    def _mark(self, attempt: _Attempt) -> None:
+        """A new stage starts now (traced runs keep its start time)."""
+        if attempt.marks is not None:
+            attempt.marks.append(self.sim.now)
+
+    def _release(self, attempt: _Attempt) -> None:
+        """Return the attempt's slot — the one slot release, whether the
+        attempt finished or died."""
+        node = attempt.node
+        i = node.index
+        node.task_finished()
+        if attempt.kind == "map":
+            self._free_map[i] += 1
+            self._free_map_total += 1
+        else:
+            self._free_reduce[i] += 1
+            self._free_reduce_total += 1
+        if self._draining:
+            self._maybe_finish_drain(i)
+
+    def _task_done(self, attempt: _Attempt) -> None:
+        """The finish tail of both kinds: leave the live set, emit the
+        task span (its stage args are the gaps between the attempt's
+        marks) and the per-kind metrics, then release the slot."""
+        node = attempt.node
+        self._live_attempts[node.index].remove(attempt)
+        self._account()
+        kind = attempt.kind
+        now = self.sim.now
+        tracer = self.sim.tracer
+        if tracer is not None:
+            state = attempt.state
+            spec = state.spec
+            # Key order is part of the exported trace's bytes.
+            args = {"job_id": spec.job_id, "index": attempt.idx}
+            if kind == "map":
+                args["speculative"] = attempt.speculative
+                args["queued_at"] = state.maps_enqueued_at
+                args["writes_output"] = spec.map_writes_output
+            else:
+                args["queued_at"] = state.reduces_enqueued_at
+                args["writes_output"] = not spec.map_writes_output
+            name, stages = _SPANS[kind]
+            marks = attempt.marks
+            if marks is not None:
+                marks.append(now)
+                for stage, begin, end in zip(stages, marks, marks[1:]):
+                    args[stage] = end - begin
+            tracer.complete(
+                name, "task", attempt.start, track=self.name, lane=node.index,
+                args=args,
+            )
+        metrics = self.sim.metrics
+        if metrics is not None:
+            finished, seconds = self._m_tasks[kind]
+            metrics.counter(finished).inc()
+            metrics.histogram(seconds).observe(now - attempt.start)
+        self._release(attempt)
+
+    # -- map task stages ------------------------------------------------------
+
+    def _start_map(self, attempt: _Attempt) -> None:
+        """Run one copy of a map task.
 
         With speculation a task can have two live copies; the first to
         finish wins and advances the job, the loser merely returns its
         slot when done (the model does not interrupt in-flight copies —
         a conservative reading of Hadoop's kill-the-loser behaviour).
         """
+        state = attempt.state
         spec = state.spec
         result = state.result
-        task_start = self.sim.now
+        now = self.sim.now
         if result.first_map_start != result.first_map_start:  # NaN check
-            result.first_map_start = self.sim.now
-        node.task_started()
-        if not speculative:
-            state.map_running[idx] = self.sim.now
-        attempt = _Attempt(state, idx, node, "map", speculative)
-        self._live_attempts[node.index].append(attempt)
-        # Stage timestamps for the profiler's bucket attribution.  Only
-        # collected on traced runs; recording them is pure local state,
-        # so the simulated event sequence is identical either way.
-        marks = {} if self.sim.tracer is not None else None
-        jitter = state.jitter(self.config.task_jitter)
-        read_bytes = spec.input_bytes * spec.input_read_fraction / state.num_maps
+            result.first_map_start = now
+        if not attempt.speculative:
+            state.map_running[attempt.idx] = now
+        attempt.io_bytes = spec.input_bytes * spec.input_read_fraction / state.num_maps
         nominal_bytes = spec.input_bytes / state.num_maps
-        cpu_seconds = (
+        attempt.cpu_seconds = (
             spec.map_cpu_per_byte
             * nominal_bytes
-            * jitter
-            / node.effective_core_speed()
+            * attempt.jitter
+            / attempt.node.effective_core_speed()
+        )
+        self.sim.schedule(
+            self.config.task_overhead * attempt.jitter,
+            partial(self._map_read, attempt),
         )
 
-        def finish() -> None:
-            if attempt.aborted:
-                return
-            self._live_attempts[node.index].remove(attempt)
-            self._account()
-            tracer = self.sim.tracer
-            if tracer is not None:
-                args = {
-                    "job_id": spec.job_id,
-                    "index": idx,
-                    "speculative": speculative,
-                    "queued_at": state.maps_enqueued_at,
-                    "writes_output": spec.map_writes_output,
-                }
-                if marks is not None:
-                    now = self.sim.now
-                    read_start = marks.get("read_start", task_start)
-                    cpu_start = marks.get("cpu_start", read_start)
-                    store_start = marks.get("store_start", now)
-                    args["overhead"] = read_start - task_start
-                    args["read"] = cpu_start - read_start
-                    args["cpu"] = store_start - cpu_start
-                    args["store"] = now - store_start
-                tracer.complete(
-                    "map_task",
-                    "task",
-                    task_start,
-                    track=self.name,
-                    lane=node.index,
-                    args=args,
-                )
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.counter(self._m_map_tasks_finished).inc()
-                metrics.histogram(self._m_map_task_seconds).observe(
-                    self.sim.now - task_start
-                )
-            node.task_finished()
-            self._free_map[node.index] += 1
-            self._free_map_total += 1
-            if self._draining:
-                self._maybe_finish_drain(node.index)
-            if not speculative:
-                # Exactly one queue pop per task index; report it back
-                # whether this copy won or lost.
-                self._map_queue.task_finished(state)
-            if idx in state.map_done_flags:
-                # The other copy already won; this one just frees its slot.
-                self._dispatch_maps()
-                return
-            state.map_done_flags.add(idx)
-            state.map_output_node[idx] = node.index
-            started_at = state.map_running.pop(idx, self.sim.now)
-            state.completed_map_time_sum += self.sim.now - started_at
-            self._committed_map_tasks -= 1
-            state.maps_done += 1
-            if (
-                not state.reduces_enqueued
-                and state.maps_done >= self._slowstart_threshold(state)
-            ):
-                self._enqueue_reduces(state)
-            if state.maps_done == state.num_maps:
-                result.last_map_end = self.sim.now
-                # Wake reducers that launched early (slowstart) and have
-                # been holding their slots waiting for the map phase.
-                waiters = state.map_phase_waiters
-                state.map_phase_waiters = []
-                for resume in waiters:
-                    resume()
+    def _map_read(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._mark(attempt)
+        read_bytes = attempt.io_bytes
+        if read_bytes <= 0:
+            self._map_cpu(attempt)
+            return
+        if self.storage.data_lost:
+            # Hard data loss (all replicas gone / OFS shrunk below its
+            # resident data): the read fails, charging the attempt but
+            # not the node — the storage is at fault.
+            self._attempt_failed(
+                attempt,
+                f"{self.storage.name} input data lost",
+                charge_task=True,
+                charge_node=False,
+                release_slot=True,
+            )
             self._dispatch_maps()
-
-        def write_output() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["store_start"] = self.sim.now
-            if spec.map_writes_output:
-                # TestDFSIO-style: each map writes its slice of the output
-                # file directly to the main storage system.
-                out_bytes = spec.output_bytes / state.num_maps
-                self.storage.write(
-                    out_bytes,
-                    node.index,
-                    finish,
-                    stream_cap=node.nic_share(),
-                    dataset_bytes=spec.output_bytes,
-                )
+            return
+        spec = attempt.state.spec
+        node = attempt.node
+        kwargs = dict(stream_cap=node.nic_share(), dataset_bytes=spec.input_bytes)
+        if self.block_map is not None:
+            replicas = self.block_map.replicas(spec.job_id, attempt.idx)
+            if replicas and node.index not in replicas:
+                # Rack-remote read: a replica holder's disk serves the
+                # block over the network.
+                kwargs["source_node"] = replicas[0]
+                self.remote_map_reads += 1
             else:
-                store_bytes = map_output_store_bytes(
-                    spec.shuffle_bytes / state.num_maps,
-                    self.config.sort_buffer,
-                    self.config.spill_io_factor,
-                )
-                node.shuffle_store.transfer(store_bytes, finish)
+                self.local_map_reads += 1
+        self.storage.read(
+            read_bytes, node.index, partial(self._map_cpu, attempt), **kwargs
+        )
 
-        def run_cpu() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["cpu_start"] = self.sim.now
-            self.sim.schedule(cpu_seconds, write_output)
+    def _map_cpu(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._mark(attempt)
+        self.sim.schedule(attempt.cpu_seconds, partial(self._map_store, attempt))
 
-        def read_input() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["read_start"] = self.sim.now
-            if read_bytes > 0 and self.storage.data_lost:
-                # Hard data loss (all replicas gone / OFS shrunk below
-                # its resident data): the read fails, charging the
-                # attempt but not the node — the storage is at fault.
-                self._attempt_failed(
-                    attempt,
-                    f"{self.storage.name} input data lost",
-                    charge_task=True,
-                    charge_node=False,
-                    release_slot=True,
-                )
-                self._dispatch_maps()
-                return
-            if read_bytes > 0:
-                kwargs = dict(
-                    stream_cap=node.nic_share(),
-                    dataset_bytes=spec.input_bytes,
-                )
-                if self.block_map is not None:
-                    replicas = self.block_map.replicas(spec.job_id, idx)
-                    if replicas and node.index not in replicas:
-                        # Rack-remote read: a replica holder's disk serves
-                        # the block over the network.
-                        kwargs["source_node"] = replicas[0]
-                        self.remote_map_reads += 1
-                    else:
-                        self.local_map_reads += 1
-                self.storage.read(read_bytes, node.index, run_cpu, **kwargs)
-            else:
-                run_cpu()
+    def _map_store(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._mark(attempt)
+        state = attempt.state
+        spec = state.spec
+        node = attempt.node
+        done = partial(self._map_done, attempt)
+        if spec.map_writes_output:
+            # TestDFSIO-style: each map writes its slice of the output
+            # file directly to the main storage system.
+            self.storage.write(
+                spec.output_bytes / state.num_maps,
+                node.index,
+                done,
+                stream_cap=node.nic_share(),
+                dataset_bytes=spec.output_bytes,
+            )
+        else:
+            store_bytes = map_output_store_bytes(
+                spec.shuffle_bytes / state.num_maps,
+                self.config.sort_buffer,
+                self.config.spill_io_factor,
+            )
+            node.shuffle_store.transfer(store_bytes, done)
 
-        self.sim.schedule(self.config.task_overhead * jitter, read_input)
+    def _map_done(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._task_done(attempt)
+        state = attempt.state
+        idx = attempt.idx
+        now = self.sim.now
+        if not attempt.speculative:
+            # Exactly one queue pop per task index; report it back
+            # whether this copy won or lost.
+            self._map_queue.task_finished(state)
+        if idx in state.map_done_flags:
+            # The other copy already won; this one just frees its slot.
+            self._dispatch_maps()
+            return
+        state.map_done_flags.add(idx)
+        state.map_output_node[idx] = attempt.node.index
+        started_at = state.map_running.pop(idx, now)
+        state.completed_map_time_sum += now - started_at
+        self._committed_map_tasks -= 1
+        state.maps_done += 1
+        if (
+            not state.reduces_enqueued
+            and state.maps_done >= self._slowstart_threshold(state)
+        ):
+            self._enqueue_reduces(state)
+        if state.maps_done == state.num_maps:
+            state.result.last_map_end = now
+            # Wake reducers that launched early (slowstart) and have
+            # been holding their slots waiting for the map phase.
+            waiters = state.map_phase_waiters
+            state.map_phase_waiters = []
+            for resume in waiters:
+                resume()
+        self._dispatch_maps()
 
-    # -- reduce task lifecycle ------------------------------------------------
+    # -- reduce task stages ---------------------------------------------------
 
     def _enqueue_reduces(self, state: _JobState) -> None:
         state.reduces_enqueued = True
@@ -853,197 +911,175 @@ class JobTracker:
             self._reduce_queue.push(state, idx)
         self._dispatch_reduces()
 
-    def _start_reduce(self, state: _JobState, idx: int, node: NodeRuntime) -> None:
+    def _start_reduce(self, attempt: _Attempt) -> None:
+        state = attempt.state
         spec = state.spec
-        result = state.result
-        task_start = self.sim.now
-        node.task_started()
-        attempt = _Attempt(state, idx, node, "reduce")
-        self._live_attempts[node.index].append(attempt)
-        # Stage timestamps for bucket attribution (traced runs only).
-        marks = {} if self.sim.tracer is not None else None
-        jitter = state.jitter(self.config.task_jitter)
         share = spec.shuffle_bytes / state.num_reducers
-        store_bytes = reduce_shuffle_store_bytes(
+        attempt.io_bytes = reduce_shuffle_store_bytes(
             share,
             self.config.shuffle_residual,
             self.config.reduce_buffer,
             self.config.spill_io_factor,
         )
-        cpu_seconds = (
-            spec.reduce_cpu_per_byte * share * jitter / node.effective_core_speed()
+        attempt.cpu_seconds = (
+            spec.reduce_cpu_per_byte
+            * share
+            * attempt.jitter
+            / attempt.node.effective_core_speed()
+        )
+        self.sim.schedule(
+            self.config.task_overhead * attempt.jitter,
+            partial(self._reduce_begin, attempt),
         )
 
-        def finish() -> None:
-            if attempt.aborted:
-                return
-            self._live_attempts[node.index].remove(attempt)
-            self._account()
-            tracer = self.sim.tracer
-            metrics = self.sim.metrics
-            if tracer is not None:
-                args = {
-                    "job_id": spec.job_id,
-                    "index": idx,
-                    "queued_at": state.reduces_enqueued_at,
-                    "writes_output": not spec.map_writes_output,
-                }
-                if marks is not None:
-                    now = self.sim.now
-                    begin_t = marks.get("begin", task_start)
-                    copy_start = marks.get("copy_start", begin_t)
-                    copy_end = marks.get("copy_end", copy_start)
-                    write_start = marks.get("write_start", now)
-                    args["overhead"] = begin_t - task_start
-                    args["wait"] = copy_start - begin_t
-                    args["copy"] = copy_end - copy_start
-                    args["cpu"] = write_start - copy_end
-                    args["write"] = now - write_start
-                tracer.complete(
-                    "reduce_task",
-                    "task",
-                    task_start,
-                    track=self.name,
-                    lane=node.index,
-                    args=args,
-                )
-            if metrics is not None:
-                metrics.counter(self._m_reduce_tasks_finished).inc()
-                metrics.histogram(self._m_reduce_task_seconds).observe(
-                    self.sim.now - task_start
-                )
-            node.task_finished()
-            self._free_reduce[node.index] += 1
-            self._free_reduce_total += 1
-            if self._draining:
-                self._maybe_finish_drain(node.index)
-            self._reduce_queue.task_finished(state)
-            state.reduces_done += 1
-            if state.reduces_done == state.num_reducers:
-                result.end_time = self.sim.now
-                self._active_jobs -= 1
-                del self._active_states[id(state)]
-                if self.block_map is not None:
-                    self.block_map.remove_dataset(state.spec.job_id)
-                self.results.append(result)
-                if tracer is not None:
-                    tracer.complete(
-                        f"job:{spec.job_id}",
-                        "job",
-                        result.submit_time,
-                        track=self.name,
-                        lane=-1,
-                        args={
-                            "job_id": spec.job_id,
-                            "app": spec.app,
-                            "storage": self.storage.name,
-                            "input_bytes": spec.input_bytes,
-                            "map_phase": result.map_phase,
-                            "shuffle_phase": result.shuffle_phase,
-                            "reduce_phase": result.reduce_phase,
-                        },
-                    )
-                if metrics is not None:
-                    metrics.counter(self._m_jobs_completed).inc()
-                    metrics.histogram(self._m_job_seconds).observe(
-                        result.execution_time
-                    )
-                    metrics.histogram(self._m_job_queue_seconds).observe(
-                        result.queue_delay
-                    )
-                    metrics.gauge(self._m_map_slot_utilization).set(
-                        self.map_slot_utilization()
-                    )
-                    metrics.gauge(self._m_speculative_launches).set(
-                        self.speculative_launches
-                    )
-                if state.on_complete is not None:
-                    state.on_complete(result)
-            self._dispatch_reduces()
+    def _reduce_begin(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._mark(attempt)
+        state = attempt.state
+        if state.maps_done == state.num_maps:
+            self._reduce_copy(attempt)
+        else:
+            # Slowstart: the slot is held while the reducer trickles in
+            # early map outputs; the measured copy tail starts when the
+            # job's last map ends.
+            state.map_phase_waiters.append(partial(self._reduce_copy, attempt))
 
-        def write_output() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["write_start"] = self.sim.now
-            if spec.map_writes_output:
-                # Output already written by the maps; the reducer only
-                # aggregates statistics (TestDFSIO's single reducer).
-                finish()
-                return
-            out_bytes = spec.output_bytes / state.num_reducers
-            self.storage.write(
-                out_bytes,
-                node.index,
-                finish,
-                stream_cap=node.nic_share(),
-                dataset_bytes=spec.output_bytes,
+    def _reduce_copy(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._mark(attempt)
+        attempt.copy_start = self.sim.now
+        node = attempt.node
+        node.shuffle_store.transfer(
+            attempt.io_bytes, partial(self._reduce_copied, attempt), cap=node.nic_share()
+        )
+
+    def _reduce_copied(self, attempt: _Attempt) -> None:
+        """The shuffle copy's one completion path: its span on traced
+        runs, its metrics whenever a registry is attached."""
+        if attempt.aborted:
+            return
+        state = attempt.state
+        now = self.sim.now
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.complete(
+                "shuffle_copy",
+                "task",
+                attempt.copy_start,
+                track=self.name,
+                lane=attempt.node.index,
+                args={"job_id": state.spec.job_id, "bytes": attempt.io_bytes},
             )
+        metrics = self.sim.metrics
+        if metrics is not None:
+            metrics.counter(self._m_shuffle_bytes).inc(attempt.io_bytes)
+            metrics.histogram(self._m_shuffle_copy_seconds).observe(
+                now - attempt.copy_start
+            )
+        self._mark(attempt)
+        attempt.copied = True
+        state.reduces_copied += 1
+        if state.reduces_copied == state.num_reducers:
+            state.result.last_shuffle_end = now
+        self.sim.schedule(attempt.cpu_seconds, partial(self._reduce_write, attempt))
 
-        def run_cpu() -> None:
-            if attempt.aborted:
-                return
-            self.sim.schedule(cpu_seconds, write_output)
+    def _reduce_write(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._mark(attempt)
+        state = attempt.state
+        spec = state.spec
+        if spec.map_writes_output:
+            # Output already written by the maps; the reducer only
+            # aggregates statistics (TestDFSIO's single reducer).
+            self._reduce_done(attempt)
+            return
+        node = attempt.node
+        self.storage.write(
+            spec.output_bytes / state.num_reducers,
+            node.index,
+            partial(self._reduce_done, attempt),
+            stream_cap=node.nic_share(),
+            dataset_bytes=spec.output_bytes,
+        )
 
-        def copied() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["copy_end"] = self.sim.now
-            attempt.copied = True
-            state.reduces_copied += 1
-            if state.reduces_copied == state.num_reducers:
-                result.last_shuffle_end = self.sim.now
-            run_cpu()
+    def _reduce_done(self, attempt: _Attempt) -> None:
+        if attempt.aborted:
+            return
+        self._task_done(attempt)
+        state = attempt.state
+        self._reduce_queue.task_finished(state)
+        state.reduces_done += 1
+        if state.reduces_done == state.num_reducers:
+            self._report_job(state.result, state.on_complete, state)
+        self._dispatch_reduces()
 
-        def copy() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["copy_start"] = self.sim.now
-            tracer = self.sim.tracer
-            if tracer is None:
-                node.shuffle_store.transfer(store_bytes, copied, cap=node.nic_share())
-                return
-            copy_start = self.sim.now
-
-            def traced_copied() -> None:
-                if attempt.aborted:
-                    return
-                tracer.complete(
-                    "shuffle_copy",
-                    "task",
-                    copy_start,
-                    track=self.name,
-                    lane=node.index,
-                    args={"job_id": spec.job_id, "bytes": store_bytes},
+    def _report_job(
+        self,
+        result: JobResult,
+        on_complete: Optional[JobCallback],
+        state: Optional[_JobState] = None,
+    ) -> None:
+        """A job leaves with its result: after its last reducer, or on a
+        fast-path completion (``state`` None: it ran no tasks, so it has
+        no job span and sets no slot gauges)."""
+        result.end_time = self.sim.now
+        self._active_jobs -= 1
+        if state is not None:
+            del self._active_states[id(state)]
+            if self.block_map is not None:
+                self.block_map.remove_dataset(state.spec.job_id)
+        self.results.append(result)
+        tracer = self.sim.tracer
+        if tracer is not None and state is not None:
+            spec = state.spec
+            tracer.complete(
+                f"job:{spec.job_id}",
+                "job",
+                result.submit_time,
+                track=self.name,
+                lane=-1,
+                args={
+                    "job_id": spec.job_id,
+                    "app": spec.app,
+                    "storage": self.storage.name,
+                    "input_bytes": spec.input_bytes,
+                    "map_phase": result.map_phase,
+                    "shuffle_phase": result.shuffle_phase,
+                    "reduce_phase": result.reduce_phase,
+                },
+            )
+        metrics = self.sim.metrics
+        if metrics is not None:
+            metrics.counter(self._m_jobs_completed).inc()
+            metrics.histogram(self._m_job_seconds).observe(result.execution_time)
+            metrics.histogram(self._m_job_queue_seconds).observe(result.queue_delay)
+            if state is not None:
+                metrics.gauge(self._m_map_slot_utilization).set(
+                    self.map_slot_utilization()
                 )
-                metrics = self.sim.metrics
-                if metrics is not None:
-                    metrics.counter(self._m_shuffle_bytes).inc(store_bytes)
-                    metrics.histogram(self._m_shuffle_copy_seconds).observe(
-                        self.sim.now - copy_start
-                    )
-                copied()
-
-            node.shuffle_store.transfer(store_bytes, traced_copied, cap=node.nic_share())
-
-        def begin() -> None:
-            if attempt.aborted:
-                return
-            if marks is not None:
-                marks["begin"] = self.sim.now
-            if state.maps_done == state.num_maps:
-                copy()
-            else:
-                # Slowstart: the slot is held while the reducer trickles
-                # in early map outputs; the measured copy tail starts when
-                # the job's last map ends.
-                state.map_phase_waiters.append(copy)
-
-        self.sim.schedule(self.config.task_overhead * jitter, begin)
+                metrics.gauge(self._m_speculative_launches).set(
+                    self.speculative_launches
+                )
+        if on_complete is not None:
+            on_complete(result)
 
     # -- fault handling -----------------------------------------------------
+
+    def _node_instant(
+        self, name: str, category: str, track: str, index: int, **extra: int
+    ) -> None:
+        """A node-membership or fault marker (traced runs)."""
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
+                name,
+                category,
+                track=track,
+                args={"cluster": self.name, "node": index, **extra},
+            )
 
     def crash_node(self, index: int) -> None:
         """A node dies: its live attempts are *killed* (requeued without
@@ -1079,14 +1115,7 @@ class JobTracker:
         self._free_reduce[index] = 0
         if not self.storage.intermediate_survives_node_loss:
             self._reexecute_lost_map_outputs(index)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "node_crash",
-                "fault",
-                track="faults",
-                args={"cluster": self.name, "node": index},
-            )
+        self._node_instant("node_crash", "fault", "faults", index)
         metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter(self._m_node_crashes).inc()
@@ -1142,14 +1171,7 @@ class JobTracker:
             self._free_map[index] = self.cluster.slots.map_slots
             self._free_reduce[index] = self.cluster.slots.reduce_slots
         self._node_failures[index] = 0
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "node_recover",
-                "fault",
-                track="faults",
-                args={"cluster": self.name, "node": index},
-            )
+        self._node_instant("node_recover", "fault", "faults", index)
         if self.config.speculative_execution and self._active_jobs > 0:
             self._arm_speculation_tick()
         self._record_capacity()
@@ -1177,14 +1199,7 @@ class JobTracker:
         if not node.alive:
             return False
         self._draining.add(index)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "node_draining",
-                "elastic",
-                track="elastic",
-                args={"cluster": self.name, "node": index},
-            )
+        self._node_instant("node_draining", "elastic", "elastic", index)
         self._record_capacity()
         if not self._live_attempts[index]:
             self._finalize_decommission(index)
@@ -1214,14 +1229,7 @@ class JobTracker:
         self._total_reduce_slots -= self.cluster.slots.reduce_slots
         self.intended_nodes -= 1
         self.nodes_decommissioned += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "node_decommissioned",
-                "elastic",
-                track="elastic",
-                args={"cluster": self.name, "node": index},
-            )
+        self._node_instant("node_decommissioned", "elastic", "elastic", index)
         metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter(f"{self.name}.nodes_decommissioned").inc()
@@ -1249,14 +1257,7 @@ class JobTracker:
         self._node_failures.append(0)
         self.intended_nodes += 1
         self.nodes_joined += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "node_joined",
-                "elastic",
-                track="elastic",
-                args={"cluster": self.name, "node": index},
-            )
+        self._node_instant("node_joined", "elastic", "elastic", index)
         metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter(f"{self.name}.nodes_joined").inc()
@@ -1321,15 +1322,7 @@ class JobTracker:
             metrics.counter(self._m_task_attempt_failures).inc()
         is_map = attempt.kind == "map"
         if release_slot:
-            node.task_finished()
-            if is_map:
-                self._free_map[node.index] += 1
-                self._free_map_total += 1
-            else:
-                self._free_reduce[node.index] += 1
-                self._free_reduce_total += 1
-            if self._draining:
-                self._maybe_finish_drain(node.index)
+            self._release(attempt)
         # Queue accounting: every popped entry gets exactly one
         # task_finished, whether the attempt finished or died.
         if is_map:
@@ -1377,18 +1370,10 @@ class JobTracker:
         if node.alive and self._node_failures[i] == self.config.blacklist_threshold:
             self.nodes_blacklisted += 1
             self._record_capacity()
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "node_blacklisted",
-                    "fault",
-                    track="faults",
-                    args={
-                        "cluster": self.name,
-                        "node": i,
-                        "failures": self._node_failures[i],
-                    },
-                )
+            self._node_instant(
+                "node_blacklisted", "fault", "faults", i,
+                failures=self._node_failures[i],
+            )
             metrics = self.sim.metrics
             if metrics is not None:
                 metrics.counter(self._m_nodes_blacklisted).inc()
@@ -1399,30 +1384,12 @@ class JobTracker:
         entries are dropped lazily by the dispatch loops."""
         if state.failed:
             return
-        state.failed = True
         result = state.result
         result.failed = True
         result.failure_reason = reason
         result.end_time = self.sim.now
         self.jobs_failed += 1
-        self._active_jobs -= 1
-        del self._active_states[id(state)]
-        self._committed_map_tasks -= state.num_maps - state.maps_done
-        if self.block_map is not None:
-            self.block_map.remove_dataset(state.spec.job_id)
-        # Abort the job's other live attempts (state.failed is already
-        # set, so these cannot recurse back here).
-        for node_attempts in self._live_attempts:
-            for attempt in list(node_attempts):
-                if attempt.state is state:
-                    self._attempt_failed(
-                        attempt,
-                        "job failed",
-                        charge_task=False,
-                        charge_node=False,
-                        release_slot=True,
-                    )
-        state.map_phase_waiters = []
+        self._withdraw(state, "job failed")
         self.results.append(result)
         tracer = self.sim.tracer
         if tracer is not None:
@@ -1438,24 +1405,29 @@ class JobTracker:
         if state.on_complete is not None:
             state.on_complete(result)
 
-    def _cancel_job(self, state: _JobState) -> None:
-        """Withdraw a job from this tracker without declaring a result
-        (evacuation: the job will be resubmitted elsewhere)."""
-        state.failed = True  # dispatch loops drop its queue entries
+    def _withdraw(self, state: _JobState, reason: str) -> None:
+        """Take a job off this tracker without a result: its backlog,
+        block placement, live attempts and parked reducers go, and the
+        dispatch loops drop its queue entries (``failed``).  A live
+        attempt's node is always alive — a crash kills its attempts
+        first — so every aborted attempt returns its slot."""
+        state.failed = True
         self._active_jobs -= 1
         del self._active_states[id(state)]
         self._committed_map_tasks -= state.num_maps - state.maps_done
         if self.block_map is not None:
             self.block_map.remove_dataset(state.spec.job_id)
+        # state.failed is already set, so these cannot recurse back to
+        # _fail_job.
         for node_attempts in self._live_attempts:
             for attempt in list(node_attempts):
                 if attempt.state is state:
                     self._attempt_failed(
                         attempt,
-                        "job evacuated",
+                        reason,
                         charge_task=False,
                         charge_node=False,
-                        release_slot=attempt.node.alive,
+                        release_slot=True,
                     )
         state.map_phase_waiters = []
 
@@ -1469,7 +1441,7 @@ class JobTracker:
         evacuated: List[tuple[JobSpec, Optional[JobCallback]]] = []
         for state in list(self._active_states.values()):
             evacuated.append((state.spec, state.on_complete))
-            self._cancel_job(state)
+            self._withdraw(state, "job evacuated")
         return evacuated
 
     def abort_active_jobs(self, reason: str) -> int:

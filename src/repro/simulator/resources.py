@@ -163,9 +163,13 @@ class FairShareResource:
         self._reschedule()
 
     def cancel_flow(self, flow: Flow) -> None:
-        """Abort a flow; its completion callback will not fire."""
+        """Abort an unfinished flow; its completion callback will not fire.
+
+        Completion wins: cancelling a flow that already finished — also
+        one finishing in the advance whose callbacks are running now —
+        is a no-op, and its callback still fires."""
         self._advance()
-        if flow in self._flows:
+        if flow.finished_at is None and flow in self._flows:
             self._remove(flow)
             self._reschedule()
 

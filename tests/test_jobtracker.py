@@ -1,13 +1,28 @@
-"""Behavioural tests for the JobTracker over a tiny deterministic cluster."""
+"""Behavioural tests for the JobTracker over a tiny deterministic cluster,
+plus byte pins of the task lifecycle on traced FB-2009 replays."""
+
+import hashlib
+import json
+from functools import lru_cache
 
 import pytest
 
 from repro.cluster import Cluster, DiskSpec, MachineSpec, NetworkModel, SlotConfig
+from repro.core import Deployment
+from repro.core.architectures import named_architectures
+from repro.elastic import CHAOS_SCENARIOS, BrownoutConfig
+from repro.faults import default_resilience_plan
 from repro.mapreduce import HadoopConfig, JobSpec, JobTracker, build_nodes
 from repro.mapreduce.jobtracker import decide_num_reducers
+from repro.runner.spec import canonical_json
+from repro.runner.work import job_result_to_dict
 from repro.simulator import Simulation
 from repro.storage import OrangeFS
+from repro.telemetry.export import chrome_trace_json
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.tracer import Tracer
 from repro.units import GB, MB
+from repro.workload.fb2009 import DAY, generate_fb2009
 
 
 def make_cluster(count=2, map_slots=2, reduce_slots=1, cores=4, core_speed=1.0):
@@ -286,3 +301,175 @@ class TestDecideNumReducers:
 
     def test_capped_by_slots(self):
         assert decide_num_reducers(self.make_spec(100), 24, GB) == 24
+
+
+# -- lifecycle pins -------------------------------------------------------
+
+#: Jobs in the pinned FB-2009 replays, and their arrival window.
+PIN_JOBS = 60
+PIN_DURATION = DAY * PIN_JOBS / 6000.0
+
+#: sha256 of (the raw Chrome-trace JSON, unsorted so span-arg key order
+#: is pinned; the canonical results; the canonical metrics dump) of a
+#: traced 60-job FB-2009 replay, keyed architecture/scenario.  Healthy
+#: runs, the default resilience plan (seed 1), and the four chaos
+#: scenarios (seed 0) with brownout on.  Recorded with Python 3.11 and
+#: numpy 2.4 (the trace draws its sizes through numpy).
+LIFECYCLE_DIGESTS = {
+    "Hybrid/healthy": (
+        "dfc31e74e809085b71fea7eca1760fccba87554309a37c2e4e6ab81e96dc5083",
+        "b5d5913cbc181f8ffbe96ae64a69014694add5f6bca942af0daeeee5b8755c37",
+        "34f1bcdf6aa67652e75bcb0b2d0a69d4655c4b55597e9775cc67f4b92ca7ff6b",
+    ),
+    "Hybrid/resilience": (
+        "97eb6e542531f80ff3e176777497569692e97d6c2de7d22d5d6879c5d49b8788",
+        "da13ec70afffad30bf3bf2a0c761c186fb877e34e987df2b9fc093d1fed01f2b",
+        "6ea08b261d5a1f0748a9b90ac147b3a1642db2e62916289d2dbd3f79dff2766c",
+    ),
+    "Hybrid/cascading_loss": (
+        "8a059674a9f8f03d431fba39e1ebde0a025fa68365678c9da938d1e0a6d9592e",
+        "62524af288bdbcbcfc8a9969e06652fc1f762d2fd75b451b902187454a8bfbb1",
+        "fca803ac5fc8c0b1cde9f529ce35dbc4033faeddc0e2a57762017a2ec83fbff8",
+    ),
+    "Hybrid/flapping_node": (
+        "08f1c62a8a863c50fc27de9d727163cf1b3cc90cea3de4a0b374bb1b033829f9",
+        "056ca795b495d1e4b01eba9b1aa0fc338df985d0b0a209032c2d6ed81e8ba755",
+        "e21cd2246621301fa151948e7a323b268f1c488c0ecb985af692fbafbdff8fb7",
+    ),
+    "Hybrid/kill_during_decommission": (
+        "95fb9be8297f5343ba9d22887210a5fe4b9c8baa4adbe854417fe9a4bfa5808a",
+        "088d7687c8be128f5fe984a0a5edf27ec222711a635a1b47d7ce9172fa539131",
+        "589148af04d07fe2142d32412c64ac57ebb4fcfb80ad260a82c6a3fbc14f0272",
+    ),
+    "Hybrid/thundering_herd": (
+        "f33b652854a68434a74e09ed74cbb84643cf8be84f4c8c317c40d317c3871f1f",
+        "3bfc6ecf0eadf5677d31fbb4b08808f14b16c0423380bf5119d11fc80cf80ff1",
+        "d6c61926eefc03e6f79de5ca3ddefd77f9ee7fb7c9087c180bacc58b15473a66",
+    ),
+    "THadoop/healthy": (
+        "dd34e65a3393eb3bbb32bfa366a76303e438936b93fa813dd83b3dc34e6af5f6",
+        "dac15841466c71a256a2e801ab50c4535d183c33c885a29f4da0b433ef1f5c6b",
+        "d367cabf2296bd9160a5f86916c5a6a08266237ac716c5e0dfb89a18ea657a08",
+    ),
+    "THadoop/resilience": (
+        "143efe6a539d0489c2535ca86352034ffff291cccdc9471e297669c1fd4db1ea",
+        "70f4e8328230bbf69398aee7f0460867847610f1dad7d1628e1209cdeccd79b2",
+        "06e3fad818e8390f049a220250d42608473c9c5df935a234b84ff20c58256f81",
+    ),
+    "THadoop/cascading_loss": (
+        "4d60b2e4f232036e4be41e9950f1eaf218cdde35cab69a93ab6d8941e402a9d3",
+        "67ab6b95e47bc5624a59e14d8f1eee7677943e3f1ed04669e5e3783b45244b10",
+        "34407de870f93516073d52eb5eeef517004a5d8be8373b32dcb3c4df8708e250",
+    ),
+    "THadoop/flapping_node": (
+        "90a2b3f88ea9f7ce676b4993723b842c1853977f1de20dd64ae83bd3719e7c28",
+        "c044c408dc9fafa80317b65ba8cedf4f3791cb19dcbe99f3227aa5b9fa42018a",
+        "9464a2d84297cdd19c3dc2e8c99a158e61816047288729a1513b384050b05156",
+    ),
+    "THadoop/kill_during_decommission": (
+        "46db197a8427ac7b6a68fcb4b03244da7eb850a50197dac140490245ab3fdb96",
+        "4c0c01b2f17425cb1e4260e3f799824391b2ca715e3685f9925a4b849ab640f6",
+        "c25effe3746187ed8167467362cd810bdd47a7906985c2926f202b3ce673b356",
+    ),
+    "THadoop/thundering_herd": (
+        "f5f7d92e49365c8c04af19914b6248089811b4e0ccdfcb7944e2e08df2aef842",
+        "bcac5ba9b84fb5940cd7fee39e3dce21d7bcc680d92f42b3011b8426951378de",
+        "29ba41635024582ad4054c6d3f329e53c70c4e3c4ca998b6f86a5634e11ffa19",
+    ),
+}
+
+#: The same triple for a speculative tracker: task jitter 0.6, slack
+#: 1.05, four 0.75 GB jobs on a 4-node cluster.
+SPECULATIVE_DIGESTS = (
+    "80ec936e9c57bea0313f8e75b550ee2afec1cc0508bf0b9a1e5c18174c7bbc49",
+    "2799252321a225b2af9b5a7a8f0c8c7717d9f4920f4d5111be73ae58ce31954d",
+    "0d31f5a132df84d96751f3eb9aa296266c0bf8064126c17ec56b24039e8ff90e",
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _fingerprint(results, tracer, metrics):
+    return (
+        _sha(json.dumps(chrome_trace_json(tracer))),
+        _sha(canonical_json([job_result_to_dict(r) for r in results])),
+        _sha(canonical_json(metrics.dump())),
+    )
+
+
+@lru_cache(maxsize=None)
+def _pin_trace():
+    return tuple(
+        generate_fb2009(PIN_JOBS, seed=2009, duration=PIN_DURATION)
+        .shrink(5.0)
+        .to_jobspecs()
+    )
+
+
+def _replay(arch, tracer=None, metrics=None, scenario="healthy"):
+    fault_plan = brownout = None
+    if scenario == "resilience":
+        fault_plan = default_resilience_plan(PIN_DURATION, seed=1)
+    elif scenario != "healthy":
+        fault_plan = CHAOS_SCENARIOS[scenario](PIN_DURATION, seed=0).fault_plan
+        brownout = BrownoutConfig()
+    deployment = Deployment(
+        named_architectures()[arch],
+        tracer=tracer,
+        metrics=metrics,
+        fault_plan=fault_plan,
+        brownout=brownout,
+    )
+    results = deployment.run_trace(list(_pin_trace()))
+    deployment.fail_unfinished()
+    return results
+
+
+PIN_SCENARIOS = ("healthy", "resilience") + tuple(sorted(CHAOS_SCENARIOS))
+
+
+class TestLifecyclePins:
+    """Every task stage, span arg and metric of a traced replay, pinned."""
+
+    @pytest.mark.parametrize("scenario", PIN_SCENARIOS)
+    @pytest.mark.parametrize("arch", ["Hybrid", "THadoop"])
+    def test_traced_replay_unchanged(self, arch, scenario):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        results = _replay(arch, tracer, metrics, scenario)
+        assert _fingerprint(results, tracer, metrics) == (
+            LIFECYCLE_DIGESTS[f"{arch}/{scenario}"]
+        )
+
+    def test_speculative_tracker_unchanged(self):
+        sim = Simulation()
+        tracer, metrics = Tracer(), MetricsRegistry()
+        sim.attach_telemetry(tracer, metrics)
+        tracker = make_tracker(
+            sim,
+            cluster=make_cluster(count=4, map_slots=4, reduce_slots=4, cores=8),
+            config=make_config(
+                task_jitter=0.6, speculative_execution=True, speculative_slack=1.05
+            ),
+        )
+        done = []
+        for i in range(4):
+            tracker.submit(make_job(input_gb=0.75, job_id=f"s{i}"), done.append)
+        sim.run()
+        assert tracker.speculative_launches > 0
+        assert _fingerprint(done, tracer, metrics) == SPECULATIVE_DIGESTS
+
+
+class TestObserversKeepMetrics:
+    @pytest.mark.parametrize("arch", ["RHadoop", "Hybrid", "THadoop"])
+    def test_metrics_only_dump_equals_traced_dump(self, arch):
+        """Attaching a tracer adds spans, never metrics: a registry alone
+        records the same dump, shuffle metrics included."""
+        alone = MetricsRegistry()
+        _replay(arch, metrics=alone)
+        traced = MetricsRegistry()
+        _replay(arch, tracer=Tracer(), metrics=traced)
+        assert alone.dump() == traced.dump()
+        cluster = named_architectures()[arch].members[-1].cluster.name
+        assert alone.dump()[f"{cluster}.shuffle_bytes"] > 0

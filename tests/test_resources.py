@@ -100,6 +100,26 @@ class TestFairShareBasics:
         sim.run()
         assert done == ["kept"]
 
+    def test_cancel_after_same_advance_completion_is_a_no_op(self):
+        """Completion wins: a flow that finished in the advance now
+        delivering callbacks cannot be cancelled by an earlier
+        callback, and its own callback still fires."""
+        sim = Simulation()
+        res = FairShareResource(sim, 100.0)
+        done = []
+        flows = {}
+
+        def first():
+            done.append("a")
+            res.cancel_flow(flows["b"])
+
+        res.start_flow(100.0, first)
+        flows["b"] = res.start_flow(100.0, lambda: done.append("b"))
+        sim.run()
+        assert done == ["a", "b"]
+        assert res.active_flows == 0
+        assert flows["b"].finished_at == pytest.approx(2.0)
+
     def test_rejects_bad_arguments(self):
         sim = Simulation()
         with pytest.raises(SimulationError):

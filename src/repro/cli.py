@@ -433,14 +433,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import phase_summary, render_timeline
-    from repro.core.architectures import hybrid as hybrid_spec
-    from repro.workload.fb2009 import DAY
 
-    trace = generate_fb2009(
-        num_jobs=args.jobs, seed=args.seed, duration=DAY * args.jobs / 6000
-    ).shrink(5.0)
-    deployment = Deployment(hybrid_spec())
-    results = deployment.run_trace(trace.to_jobspecs())
+    results = _replay_with_telemetry(
+        "Hybrid", args.jobs, args.seed, None, None
+    ).results
     print(render_timeline(results, width=args.width, max_jobs=args.max_jobs))
     totals = phase_summary(results)
     print(
@@ -491,8 +487,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _replay_with_telemetry(
     arch: str, num_jobs: int, seed: int, tracer, metrics
-) -> None:
-    """Replay the FB-2009 trace on one architecture with observers on."""
+) -> Deployment:
+    """Replay the shrunk FB-2009 trace on one architecture, with any
+    observers attached; returns the finished deployment."""
     from repro.workload.fb2009 import DAY
 
     trace = generate_fb2009(
@@ -502,6 +499,7 @@ def _replay_with_telemetry(
         architecture_registry()[arch], tracer=tracer, metrics=metrics
     )
     deployment.run_trace(trace.to_jobspecs())
+    return deployment
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ This package is the read side of the observability stack
   experiment runner's per-cell completions;
 * :func:`render_mission` turns a frame stream into a self-contained,
   auto-refreshing HTML dashboard (stdlib only, inline SVG, zero
-  external fetches — same conventions as :mod:`repro.profiler`);
+  external fetches), drawn by :mod:`repro.profiler.dashboard`, the one
+  renderer behind both this page and the run-profile page;
 * the daemon serves the dashboard at ``GET /mission`` and the raw
   frame tail at ``GET /events`` (:mod:`repro.service.server`), and
   ``repro mission`` renders from either a frames file or a live URL.
@@ -18,13 +19,7 @@ schedules simulation events, so an observed run is byte-identical to a
 bare one (pinned by ``tests/test_mission.py``).
 """
 
-from repro.mission.dashboard import render_mission, write_mission
-from repro.runner.store import (
-    SqliteResultCache,
-    migrate_json_tree,
-    open_result_store,
-    store_report,
-)
+from repro.profiler.dashboard import render_mission, write_mission
 from repro.telemetry.bus import (
     FRAME_SCHEMA,
     FrameError,
@@ -44,13 +39,9 @@ __all__ = [
     "KIND_SERVICE",
     "MetricsBus",
     "MetricsFrame",
-    "SqliteResultCache",
     "frames_from_text",
-    "migrate_json_tree",
-    "open_result_store",
     "read_frames",
     "render_mission",
-    "store_report",
     "write_frames",
     "write_mission",
 ]

@@ -49,6 +49,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: A response goes out as two writes (headers, then body).  With
+    #: Nagle's algorithm on, the body waits for the client's delayed
+    #: ACK of the headers, stalling each keep-alive request ~40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ReproService:
@@ -171,7 +175,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """The live dashboard: self-contained HTML re-rendered on every
         request, with a meta-refresh tag so a browser tab tracks the
         run without any JavaScript."""
-        from repro.mission.dashboard import render_mission
+        from repro.profiler.dashboard import render_mission
 
         bus = self.service.bus
         frames = bus.frames() if bus is not None else []

@@ -32,6 +32,9 @@ Setup
     learning per-(band, size-bucket) costs;
   - ``oracle`` — per-job best member under the *truth* calibration
     (isolated prediction per member, argmin), the regret reference.
+    It is not a lower bound under load: it ignores queueing, so on a
+    backlogged trace it over-fills scale-up and regret goes negative
+    (docs/TUNE.md, "Honest limitations").
 
 * **Metric.**  Per-job regret = the job's measured runtime under a
   policy minus its measured runtime under the oracle routing, matched

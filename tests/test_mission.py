@@ -21,6 +21,7 @@ The contracts pinned here:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import threading
 import urllib.error
@@ -278,19 +279,90 @@ class TestReconciliation:
             assert health["status"] == HEALTH_DEGRADED
 
 
+def _runner_body(done, cells=10, store="sqlite"):
+    return {"cells": cells, "done": done, "cache_hits": done // 2,
+            "simulated": done - done // 2, "infeasible": 0, "failures": 0,
+            "retries": 0, "timeouts": 0, "store": store}
+
+
+def _daemon_frames():
+    """A drained 20-job daemon's service frames plus one runner frame."""
+    bus = MetricsBus()
+    service = ReproService("Hybrid", bus=bus)
+    for sub in submissions_for(make_trace()):
+        service.submit(sub)
+    service.drain()
+    bus.publish(KIND_RUNNER, 1.5, _runner_body(4))
+    return bus.frames()
+
+
+def _runner_only_frames():
+    """A sweep's per-cell frames, no daemon."""
+    bus = MetricsBus()
+    for done in range(1, 6):
+        bus.publish(KIND_RUNNER, 0.75 * done, _runner_body(done, store=None))
+    return bus.frames()
+
+
+def _tuning_frames():
+    """Hand-built service frames with a ``tuning`` block, so the MAPE
+    trend renders without a live tuner; one frame lacks the block and
+    one carries a non-numeric MAPE."""
+    bus = MetricsBus()
+    for step in range(6):
+        body = {
+            "health": "degraded" if step == 3 else "ok",
+            "healthy_fraction": 0.75 if step == 3 else 1.0,
+            "accepted": 4 * step, "pending": 6 - step, "finished": 3 * step,
+            "rejected": step // 2,
+            "capacity": {"up": 2, "out": 12 - (step == 3) * 3},
+            "routing": {"members": {"up": {"small": step, "shuffle": 1},
+                                    "out": {"large": 2 * step}},
+                        "rejected": step // 2},
+        }
+        if step:
+            body["tuning"] = {
+                "publishes": step,
+                "mape_after_last": "n/a" if step == 2 else 0.3 / step,
+            }
+        bus.publish(KIND_SERVICE, 40.0 * step, body)
+    return bus.frames()
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: sha256 of the rendered page for each fixture.  Any change to the
+#: renderer that moves a byte of the page fails here; a deliberate
+#: change to what the page shows re-records these.
+MISSION_PINS = {
+    "daemon": (
+        "02dfea8c9cf5acfe4c8896689882c3b1"
+        "67d7957cfabcb797db5a58f4365aa709"
+    ),
+    "daemon_refresh": (
+        "8e2a94763cc42272e82facd637cad6c2"
+        "cd01e06e48ad159f718ce3c3bb2928a8"
+    ),
+    "empty": (
+        "bf65cc552fc806d77b9477c0985f00ee"
+        "5ff06a0fc4f5c936667cc5d1cc4109ac"
+    ),
+    "runner_only": (
+        "48ddf513355f4cde1963a5e0b182249e"
+        "ebc7944341232ea6e8e86ffe8616bccb"
+    ),
+    "tuning_titled": (
+        "ac3682b5d318b60bd7fd0b32a65df1b9"
+        "f8ac9116ab4cf204bcd1f9424ec4e6c2"
+    ),
+}
+
+
 class TestDashboard:
     def _frames(self):
-        bus = MetricsBus()
-        service = ReproService("Hybrid", bus=bus)
-        for sub in submissions_for(make_trace()):
-            service.submit(sub)
-        service.drain()
-        bus.publish(KIND_RUNNER, 1.5, {"cells": 10, "done": 4,
-                                       "cache_hits": 2, "simulated": 2,
-                                       "infeasible": 0, "failures": 0,
-                                       "retries": 0, "timeouts": 0,
-                                       "store": "sqlite"})
-        return bus.frames()
+        return _daemon_frames()
 
     def test_self_contained_and_deterministic(self):
         frames = self._frames()
@@ -316,6 +388,32 @@ class TestDashboard:
     def test_empty_stream_renders(self):
         html = render_mission([])
         assert "no frames yet" in html
+
+
+class TestDashboardPins:
+    """The mission page's bytes, pinned per fixture."""
+
+    def test_daemon_and_runner_frames(self):
+        frames = _daemon_frames()
+        assert _sha(render_mission(frames)) == MISSION_PINS["daemon"]
+        assert (_sha(render_mission(frames, refresh=2))
+                == MISSION_PINS["daemon_refresh"])
+
+    def test_empty_stream(self):
+        assert _sha(render_mission([])) == MISSION_PINS["empty"]
+
+    def test_runner_only_frames(self):
+        html = render_mission(_runner_only_frames())
+        assert _sha(html) == MISSION_PINS["runner_only"]
+
+    def test_tuning_frames(self, tmp_path):
+        path = write_mission(
+            _tuning_frames(), tmp_path / "mission.html",
+            title="tuned <Hybrid> & co", refresh=5,
+        )
+        html = path.read_text()
+        assert "Calibration MAPE" in html
+        assert _sha(html) == MISSION_PINS["tuning_titled"]
 
 
 class TestHTTPSurface:

@@ -3,6 +3,7 @@ the simulation), the critical-path partition invariant, bottleneck
 buckets, the dashboard artifact, runner integration and the CLI.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.cli import main
 from repro.core.architectures import hybrid, out_ofs, thadoop
 from repro.core.deployment import Deployment
 from repro.errors import ConfigurationError
+from repro.faults import NODE_CRASH, FaultEvent, FaultPlan, default_resilience_plan
 from repro.profiler import (
     BUCKETS,
     build_run_profile,
@@ -25,7 +27,7 @@ from repro.runner.spec import isolated_cell, replay_cell
 from repro.runner.work import execute_cell
 from repro.telemetry import Tracer, write_chrome_trace
 from repro.units import GB
-from repro.workload.fb2009 import generate_fb2009
+from repro.workload.fb2009 import DAY, generate_fb2009
 
 TOL = 1e-6
 
@@ -147,13 +149,50 @@ class TestTraceFileProfiling:
         assert restored.dominant_bucket == live.dominant_bucket
 
 
+def _ab_profiles():
+    """Hybrid vs THadoop, each on the same 15-job FB-2009 replay."""
+    profiles = []
+    for arch in (hybrid(), thadoop()):
+        deployment, _ = _replay(num_jobs=15, arch=arch, tracer=Tracer())
+        profiles.append(deployment.profile_run(label=arch.name))
+    return profiles
+
+
+def _node_crash_profile():
+    """One Wordcount job on the hybrid while an ``out`` node crashes."""
+    plan = FaultPlan(events=(
+        FaultEvent(time=5.0, kind=NODE_CRASH, member="out", node=1),
+    ))
+    tracer = Tracer()
+    deployment = Deployment(
+        hybrid(), register_datasets=True, tracer=tracer, fault_plan=plan
+    )
+    deployment.run_job(WORDCOUNT.make_job(64 * GB))
+    return deployment.profile_run()
+
+
+def _resilience_profile(num_jobs=30):
+    """A hybrid FB-2009 replay under the seeded resilience schedule."""
+    duration = DAY * num_jobs / 6000.0
+    trace = generate_fb2009(num_jobs=num_jobs, seed=2009, duration=duration)
+    deployment = Deployment(
+        hybrid(),
+        register_datasets=True,
+        tracer=Tracer(),
+        fault_plan=default_resilience_plan(duration, seed=1),
+    )
+    deployment.run_trace(trace.shrink(5.0).to_jobspecs())
+    deployment.fail_unfinished()
+    return deployment.profile_run(label="Hybrid under faults")
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestDashboard:
     def _ab_profiles(self):
-        profiles = []
-        for arch in (hybrid(), thadoop()):
-            deployment, _ = _replay(num_jobs=15, arch=arch, tracer=Tracer())
-            profiles.append(deployment.profile_run(label=arch.name))
-        return profiles
+        return _ab_profiles()
 
     def test_html_is_self_contained(self, tmp_path):
         profiles = self._ab_profiles()
@@ -170,20 +209,50 @@ class TestDashboard:
         assert "Hybrid" in html and "THadoop" in html
 
     def test_fault_annotations_reach_the_dashboard(self):
-        from repro.faults.plan import FaultEvent, FaultPlan, NODE_CRASH
-
-        plan = FaultPlan(events=(
-            FaultEvent(time=5.0, kind=NODE_CRASH, member="out", node=1),
-        ))
-        tracer = Tracer()
-        deployment = Deployment(
-            hybrid(), register_datasets=True, tracer=tracer, fault_plan=plan
-        )
-        deployment.run_job(WORDCOUNT.make_job(64 * GB))
-        profile = deployment.profile_run()
+        profile = _node_crash_profile()
         assert any(f["name"] == "node_crash" for f in profile.faults)
         html = render_dashboard([profile])
         assert "node_crash" in html
+
+
+#: sha256 of the rendered page for each fixture.  Any change to the
+#: renderer that moves a byte of the page fails here; a deliberate
+#: change to what the page shows re-records these.
+DASHBOARD_PINS = {
+    "ab": (
+        "61dcf78e10de1512721eff23ccb98563"
+        "1a2bd34c54980daf41bc8be64e3dcac8"
+    ),
+    "node_crash_titled": (
+        "7e6021d735b5c11b2ff8498ed7259d2b"
+        "2d6783954d0f7e3d1e99ef7b4b3fd8ff"
+    ),
+    "resilience": (
+        "e6f5959f65a9acdbaf3adbb502cbd5b6"
+        "2523db9dfd45ebb5621ec3c3a8466eed"
+    ),
+}
+
+
+class TestDashboardPins:
+    """The profiler page's bytes, pinned per fixture."""
+
+    def test_ab_hybrid_vs_thadoop(self):
+        html = render_dashboard(_ab_profiles())
+        assert _sha(html) == DASHBOARD_PINS["ab"]
+
+    def test_titled_node_crash_run(self, tmp_path):
+        path = write_dashboard(
+            [_node_crash_profile()], tmp_path / "crash.html",
+            title="node crash <out/1> & recovery",
+        )
+        assert _sha(path.read_text()) == DASHBOARD_PINS["node_crash_titled"]
+
+    def test_resilience_plan_replay(self):
+        profile = _resilience_profile()
+        assert profile.faults
+        html = render_dashboard([profile])
+        assert _sha(html) == DASHBOARD_PINS["resilience"]
 
 
 class TestRunnerIntegration:

@@ -18,8 +18,10 @@ Four invariants pin the design:
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -500,6 +502,27 @@ class TestHTTPSurface:
     def test_unknown_route_is_404(self, server):
         status, _ = ServiceClient(server.url)._request("GET", "/nope")
         assert status == 404
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        # Each response is two writes (headers, body); under Nagle's
+        # algorithm the body would wait ~40 ms for the delayed ACK, so
+        # 50 requests on one connection would take about 2 s.
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for i in range(50):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                if i == 0:
+                    sock = conn.sock
+            elapsed = time.perf_counter() - start
+            assert conn.sock is sock  # one connection throughout
+        finally:
+            conn.close()
+        assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f} s"
 
     def test_shutdown_checkpoints_and_stops(self, tmp_path):
         service = ReproService(

@@ -13,6 +13,15 @@ safely.
 An :class:`ExperimentSpec` is a named, ordered collection of cells (one
 sweep grid, one replay trio) with a derived key of its own.
 
+A warm resolve costs one store read, not a rehash: each cell computes
+its key once and keeps it on the instance, and each frozen part
+(architecture, app, calibration, fault plan) keeps its flattened form
+on its own instance, so the parts a sweep shares are flattened once.
+The memos are keyed by identity, not by value — two parts that compare
+equal may still serialise differently (``replication=2`` vs ``2.0``) —
+and the bytes hashed are those of ``canonical_payload()``, so every key
+is the one the unmemoized formula gives.
+
 Invalidation rules
 ------------------
 
@@ -26,9 +35,10 @@ change to the simulator alters results (see docs/RUNNER.md).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.apps.base import AppProfile
@@ -60,11 +70,58 @@ KIND_PROBE = "probe"
 KINDS = (KIND_ISOLATED, KIND_REPLAY, KIND_PROBE)
 
 
+#: The encoder :func:`json.dumps` would build on every call, built once.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, no NaN."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL.encode(value)
+
+
+#: Instance-``__dict__`` slots of the two memos: a frozen part's
+#: flattened form, and a cell's content key.  Neither is a field, so
+#: neither reaches ``==``, ``hash``, ``repr`` or ``dataclasses.replace``.
+_FLAT = "_flat_form"
+_KEY = "_content_key"
+#: Immutable leaves: ``asdict`` deep-copies them, :func:`_flat` keeps them.
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat(value: Any) -> Any:
+    """:func:`dataclasses.asdict` for the content key, without the copies.
+
+    Gives the same canonical JSON as ``asdict``.  A frozen dataclass
+    keeps its form on its own instance (see the module docstring); the
+    forms are shared between cells, so none may leave this module.
+    """
+    cls = type(value)
+    if cls in _LEAVES:
+        return value
+    if hasattr(cls, "__dataclass_fields__"):
+        state = getattr(value, "__dict__", None)
+        if state is None or not cls.__dataclass_params__.frozen:
+            return _fields(value)
+        form = state.get(_FLAT)
+        if form is None:
+            form = state[_FLAT] = _fields(value)
+        return form
+    if isinstance(value, (list, tuple)):
+        return [_flat(item) for item in value]
+    return value
+
+
+def _fields(value: Any) -> Dict[str, Any]:
+    return {name: _flat(getattr(value, name)) for name in _names(type(value))}
+
+
+@functools.lru_cache(maxsize=None)
+def _names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names, sorted, so that the encoder's key sort
+    finds every form already in order."""
+    return tuple(sorted(f.name for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -137,14 +194,25 @@ class CellSpec:
     # -- identity ----------------------------------------------------------
 
     def canonical_payload(self) -> Dict[str, Any]:
-        """The cell as plain JSON-able data (dataclasses flattened)."""
+        """The cell as plain JSON-able data (dataclasses flattened).
+
+        A fresh copy: :meth:`content_key` hashes these same bytes but
+        builds them from memoized part forms.
+        """
         return {"salt": CODE_SALT, "cell": asdict(self)}
 
     def content_key(self) -> str:
-        """Stable SHA-256 content hash of the cell plus the code salt."""
-        return hashlib.sha256(
-            canonical_json(self.canonical_payload()).encode("utf-8")
-        ).hexdigest()
+        """Stable SHA-256 content hash of the cell plus the code salt.
+
+        Computed once per instance; later calls return the kept key.
+        """
+        key = self.__dict__.get(_KEY)
+        if key is None:
+            payload = {"salt": CODE_SALT, "cell": _fields(self)}
+            key = self.__dict__[_KEY] = hashlib.sha256(
+                canonical_json(payload).encode("utf-8")
+            ).hexdigest()
+        return key
 
     def describe(self) -> str:
         arch = self.architecture.name if self.architecture else "-"

@@ -8,9 +8,13 @@ scale-up cluster's RAMdisk advantage relevant for longer.
 """
 
 from repro.analysis.asciichart import render_chart
+from repro.analysis.conclusions import CROSS_CLAIMS
 from repro.analysis.figures import fig7_crosspoints
 from repro.analysis.report import render_series
 from repro.units import GB, format_size
+
+WORDCOUNT_CROSS = CROSS_CLAIMS["wordcount"]
+GREP_CROSS = CROSS_CLAIMS["grep"]
 
 
 def test_fig7_crosspoints(benchmark, artifact, runner):
@@ -27,15 +31,17 @@ def test_fig7_crosspoints(benchmark, artifact, runner):
         x_formatter=format_size,
     )
     text += (
-        f"\n\nwordcount cross point: {format_size(wc_cross)} (paper: 32GB)"
-        f"\ngrep cross point:      {format_size(grep_cross)} (paper: 16GB)"
+        f"\n\nwordcount cross point: {format_size(wc_cross)} "
+        f"(paper: {format_size(WORDCOUNT_CROSS.paper)})"
+        f"\ngrep cross point:      {format_size(grep_cross)} "
+        f"(paper: {format_size(GREP_CROSS.paper)})"
     )
     artifact("fig7_crosspoints", text, data=figure.to_dict())
 
     assert wc_cross is not None and grep_cross is not None
-    # Fidelity bands from DESIGN.md: 32 +/- 8 GB and 16 +/- 6 GB.
-    assert 24 * GB <= wc_cross <= 40 * GB, f"wordcount cross {wc_cross / GB:.1f}GB"
-    assert 10 * GB <= grep_cross <= 22 * GB, f"grep cross {grep_cross / GB:.1f}GB"
+    # The cross-point claims' bands, on the figure's own size grid.
+    assert WORDCOUNT_CROSS.in_band(wc_cross), f"wordcount cross {wc_cross / GB:.1f}GB"
+    assert GREP_CROSS.in_band(grep_cross), f"grep cross {grep_cross / GB:.1f}GB"
     # The higher shuffle/input ratio must produce the higher cross point.
     assert wc_cross > grep_cross
 

@@ -6,9 +6,12 @@ cross point is the lowest of the measured applications.
 """
 
 from repro.analysis.asciichart import render_chart
+from repro.analysis.conclusions import CROSS_CLAIMS
 from repro.analysis.figures import fig7_crosspoints, fig8_crosspoint_dfsio
 from repro.analysis.report import render_series
 from repro.units import GB, format_size
+
+DFSIO_CROSS = CROSS_CLAIMS["testdfsio-write"]
 
 
 def test_fig8_crosspoint_dfsio(benchmark, artifact, runner):
@@ -24,12 +27,15 @@ def test_fig8_crosspoint_dfsio(benchmark, artifact, runner):
         reference_y=1.0,
         x_formatter=format_size,
     )
-    text += f"\n\ndfsio-write cross point: {format_size(cross)} (paper: 10GB)"
+    text += (
+        f"\n\ndfsio-write cross point: {format_size(cross)} "
+        f"(paper: {format_size(DFSIO_CROSS.paper)})"
+    )
     artifact("fig8_crosspoint_dfsio", text, data=figure.to_dict())
 
     assert cross is not None
-    # Fidelity band from DESIGN.md: 10 +/- 4 GB.
-    assert 6 * GB <= cross <= 14 * GB, f"dfsio cross {cross / GB:.1f}GB"
+    # The cross-point claim's band, on the figure's own size grid.
+    assert DFSIO_CROSS.in_band(cross), f"dfsio cross {cross / GB:.1f}GB"
 
     series = figure.series["out-OFS-Write"]
     assert series[0] > 1.0

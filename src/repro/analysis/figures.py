@@ -33,7 +33,7 @@ from repro.core.architectures import (
 )
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.crosspoint import estimate_cross_point, normalized_ratio
-from repro.core.scheduler import Decision, SizeAwareScheduler
+from repro.core.scheduler import PAPER_CROSS_POINTS, Decision, SizeAwareScheduler
 from repro.faults.plan import FaultPlan
 from repro.mapreduce.job import JobResult
 from repro.runner.pool import PoolRunner, raise_on_failure
@@ -237,8 +237,8 @@ def fig7_crosspoints(
         notes={
             "wordcount_cross_point": wc_cross,
             "grep_cross_point": grep_cross,
-            "paper_wordcount_cross_point": 32 * GB,
-            "paper_grep_cross_point": 16 * GB,
+            "paper_wordcount_cross_point": PAPER_CROSS_POINTS.high_ratio_cross,
+            "paper_grep_cross_point": PAPER_CROSS_POINTS.mid_ratio_cross,
         },
     )
 
@@ -259,7 +259,7 @@ def fig8_crosspoint_dfsio(
         {"out-OFS-Write": ratio},
         notes={
             "dfsio_cross_point": cross,
-            "paper_dfsio_cross_point": 10 * GB,
+            "paper_dfsio_cross_point": PAPER_CROSS_POINTS.low_ratio_cross,
         },
     )
 
@@ -283,6 +283,10 @@ class TraceReplayResult:
     @property
     def max_scale_out_time(self) -> float:
         return float(self.scale_out_times.max())
+
+    @property
+    def mean_execution_time(self) -> float:
+        return float(np.mean([r.execution_time for r in self.results]))
 
 
 def replay_architectures() -> Dict[str, object]:

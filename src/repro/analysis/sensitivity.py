@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.conclusions import CLAIMS_BY_ID, CROSS_CLAIMS
 from repro.analysis.figures import crosspoint_series
 from repro.analysis.sweep import sweep_architectures
 from repro.apps import WORDCOUNT
@@ -92,25 +93,14 @@ def _orderings(
 
 
 def _crosses(calibration: Calibration, runner: Optional[PoolRunner] = None):
-    _, wc = crosspoint_series(
-        "wordcount", [s * GB for s in (8, 16, 24, 32, 48, 64)], calibration,
-        runner=runner,
+    """Wordcount's cross point, and whether the claims' cross points ascend."""
+    cross = {app: crosspoint_series(app, c.inputs, calibration, runner=runner)[1]
+             for app, c in CROSS_CLAIMS.items()}
+    ordered = all(
+        cross[a] is not None and cross[b] is not None and cross[a] < cross[b]
+        for a, b, _ in CLAIMS_BY_ID["cross-order"].relations
     )
-    _, grep = crosspoint_series(
-        "grep", [s * GB for s in (4, 8, 12, 16, 24, 32)], calibration,
-        runner=runner,
-    )
-    _, dfsio = crosspoint_series(
-        "testdfsio-write", [s * GB for s in (3, 5, 8, 10, 15, 20)], calibration,
-        runner=runner,
-    )
-    ordered = (
-        wc is not None
-        and grep is not None
-        and dfsio is not None
-        and dfsio < grep < wc
-    )
-    return wc, ordered
+    return cross["wordcount"], ordered
 
 
 def run_sensitivity(

@@ -18,16 +18,15 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.scheduler import Decision
+from repro.core.scheduler import PAPER_CROSS_POINTS, Decision
 from repro.errors import ConfigurationError
 from repro.mapreduce.job import JobSpec
-from repro.units import GB
 
 #: The paper's three measured anchors (ratio, cross point in bytes).
 PAPER_ANCHORS: Tuple[Tuple[float, float], ...] = (
-    (0.0, 10 * GB),
-    (0.4, 16 * GB),
-    (1.6, 32 * GB),
+    (0.0, PAPER_CROSS_POINTS.low_ratio_cross),
+    (0.4, PAPER_CROSS_POINTS.mid_ratio_cross),
+    (1.6, PAPER_CROSS_POINTS.high_ratio_cross),
 )
 
 

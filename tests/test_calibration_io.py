@@ -6,10 +6,13 @@ wrong kinds and wrong value types are all rejected loudly, so a stale
 or hand-mangled file never silently half-applies.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.apps import get_app
 from repro.core.calibration import (
     CALIBRATION_KIND,
     CALIBRATION_SCHEMA,
@@ -153,3 +156,22 @@ class TestSaveLoad:
         ])
         assert code == 1
         assert "warp_factor" in capsys.readouterr().err
+
+
+class TestCalibrateToolStartsFromTheFrozenModel:
+    """``tools/calibrate.py --quick`` scores exactly what ships."""
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        path = Path(__file__).parents[1] / "tools" / "calibrate.py"
+        spec = importlib.util.spec_from_file_location("calibrate_tool", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_start_is_the_default_calibration(self, tool):
+        assert tool.make_calibration(tool.START) == DEFAULT_CALIBRATION
+
+    def test_start_is_the_registered_apps(self, tool):
+        apps = tool.make_apps(tool.START)
+        assert apps == {name: get_app(name) for name in apps}

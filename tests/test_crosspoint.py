@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.conclusions import CROSS_CLAIMS
 from repro.core.crosspoint import (
     CrossBand,
     cross_point_band,
@@ -10,7 +11,7 @@ from repro.core.crosspoint import (
     estimate_cross_point,
     normalized_ratio,
 )
-from repro.core.scheduler import CrossPoints
+from repro.core.scheduler import PAPER_CROSS_POINTS, CrossPoints
 from repro.errors import ConfigurationError
 from repro.units import GB
 
@@ -78,8 +79,7 @@ class TestDeriveCrossPoints:
     def synthetic_measure(app, size):
         """A synthetic deployment with known crossings: up time flat, out
         time falling; crossing position depends on the app."""
-        crossings = {"wordcount": 32 * GB, "grep": 16 * GB, "testdfsio-write": 10 * GB}
-        cross = crossings[app]
+        cross = CROSS_CLAIMS[app].paper
         up = 100.0
         out = 100.0 * (cross / size)  # ratio == 1 exactly at the crossing
         return up, out
@@ -89,9 +89,10 @@ class TestDeriveCrossPoints:
         cp = derive_cross_points(self.synthetic_measure, sizes)
         # Interpolation between geometric sample points is approximate;
         # the coarse 8->16 GB gap bounds the error at ~6%.
-        assert cp.high_ratio_cross == pytest.approx(32 * GB, rel=0.08)
-        assert cp.mid_ratio_cross == pytest.approx(16 * GB, rel=0.08)
-        assert cp.low_ratio_cross == pytest.approx(10 * GB, rel=0.08)
+        paper = PAPER_CROSS_POINTS
+        assert cp.high_ratio_cross == pytest.approx(paper.high_ratio_cross, rel=0.08)
+        assert cp.mid_ratio_cross == pytest.approx(paper.mid_ratio_cross, rel=0.08)
+        assert cp.low_ratio_cross == pytest.approx(paper.low_ratio_cross, rel=0.08)
 
     def test_falls_back_when_no_crossing(self):
         def up_always_wins(app, size):

@@ -1,13 +1,13 @@
 """Deprecation hygiene: completed cycles fail loudly, the repo stays quiet.
 
-Two invariants (see ``repro.compat``):
+Two invariants:
 
 * a removed legacy spelling raises ``TypeError`` — the
   ``register_datasets=`` kwarg and the bare-default ``run_job`` warning
   completed their deprecation cycle and are gone, so stale callers fail
   loudly instead of silently changing behaviour; and
 * no in-repo caller — library entry points, CLI commands — triggers any
-  deprecation warning.  ``warn_deprecated`` stays for future shims.
+  deprecation warning.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.analysis.figures import fig10_trace_replay
 from repro.analysis.sweep import run_isolated, sweep_architectures
 from repro.apps import GREP
 from repro.cli import main
-from repro.compat import _SUNSET, warn_deprecated
 from repro.core.architectures import up_hdfs, up_ofs
 from repro.core.deployment import Deployment
 from repro.units import GB
@@ -34,15 +33,6 @@ def no_deprecations():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         yield
-
-
-class TestHelperStillUniform:
-    """Future shims must keep the uniform sunset suffix."""
-
-    def test_helper_appends_sunset_suffix(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            warn_deprecated("old_thing() is deprecated", stacklevel=2)
-        assert str(caught[0].message).endswith(_SUNSET)
 
 
 class TestCompletedCyclesFailLoudly:

@@ -1,207 +1,94 @@
 """Paper-fidelity lock: the calibrated model must keep the paper's shapes.
 
-These are the DESIGN.md fidelity targets, asserted against
-DEFAULT_CALIBRATION so that any change to the model or its constants that
-breaks reproduction fails CI.  They intentionally re-check, at test
-scale, what the benchmark harness regenerates at paper scale.
-
-Marked slow-ish: the whole module runs in roughly ten seconds.
+Every claim of the paper lives once in
+:data:`repro.analysis.conclusions.CLAIMS`, with its inputs and its band
+or ordering.  ``test_claim`` checks each one but the marked deviation on
+a single evaluation of DEFAULT_CALIBRATION, so any change to the model
+or its constants that breaks reproduction fails CI.
 """
 
 import pytest
 
-from repro.analysis.figures import crosspoint_series, fig10_trace_replay
-from repro.analysis.sweep import sweep_architectures
-from repro.apps import GREP, TESTDFSIO_WRITE, WORDCOUNT
-from repro.core.architectures import out_hdfs, out_ofs, up_hdfs, up_ofs
+from repro.analysis.conclusions import CLAIMS, CLAIMS_BY_ID
+from repro.apps import GREP, WORDCOUNT
 from repro.units import GB
 
-ARCHS = (up_ofs(), up_hdfs(), out_ofs(), out_hdfs())
+
+def assert_holds(findings, *claim_ids):
+    for claim_id in claim_ids:
+        finding = findings[claim_id]
+        assert finding.holds, (claim_id, finding.evidence)
 
 
-def exec_at(app, size):
-    grid = sweep_architectures(ARCHS, app, [size])
-    return {name: grid[name].execution_times[0] for name in grid}
+def assert_covers(claim_id, app, size):
+    claim = CLAIMS_BY_ID[claim_id]
+    assert app.name in claim.apps and size in claim.inputs, claim
 
+
+def claims(*claim_ids):
+    """A test that the named claims hold."""
+    def test(self, paper_findings):
+        assert_holds(paper_findings, *claim_ids)
+    return test
+
+
+# The deviation's miss is pinned by test_conclusions.py.
+@pytest.mark.parametrize("claim_id", [c.id for c in CLAIMS if not c.deviation])
+def test_claim(paper_findings, claim_id):
+    assert_holds(paper_findings, claim_id)
+
+
+# The historical test names, each pointing at the claims that now make
+# its assertions.
 
 class TestCrossPoints:
-    """Paper: 32 GB (Wordcount), 16 GB (Grep), 10 GB (TestDFSIO-write)."""
-
-    def test_wordcount_cross_in_band(self):
-        sizes = [s * GB for s in (8, 16, 24, 32, 48, 64, 96)]
-        _, cross = crosspoint_series("wordcount", sizes)
-        assert cross is not None
-        assert 24 * GB <= cross <= 40 * GB, f"{cross / GB:.1f}GB"
-
-    def test_grep_cross_in_band(self):
-        sizes = [s * GB for s in (4, 8, 12, 16, 24, 32, 48)]
-        _, cross = crosspoint_series("grep", sizes)
-        assert cross is not None
-        assert 10 * GB <= cross <= 22 * GB, f"{cross / GB:.1f}GB"
-
-    def test_dfsio_cross_in_band(self):
-        sizes = [s * GB for s in (3, 5, 8, 10, 15, 20, 30)]
-        _, cross = crosspoint_series("testdfsio-write", sizes)
-        assert cross is not None
-        assert 6 * GB <= cross <= 14 * GB, f"{cross / GB:.1f}GB"
-
-    def test_cross_points_ascend_with_shuffle_ratio(self):
-        sizes = [s * GB for s in (4, 8, 16, 32, 64)]
-        _, wc = crosspoint_series("wordcount", sizes)
-        _, grep = crosspoint_series("grep", sizes)
-        _, dfsio = crosspoint_series("testdfsio-write", sizes)
-        assert dfsio < grep < wc
+    test_wordcount_cross_in_band = claims("fig7-wordcount-cross")
+    test_grep_cross_in_band = claims("fig7-grep-cross")
+    test_dfsio_cross_in_band = claims("fig8-dfsio-cross")
+    test_cross_points_ascend_with_shuffle_ratio = claims("cross-order")
 
 
 class TestSmallInputOrdering:
-    """Paper, small inputs: up-HDFS > up-OFS > out-HDFS > out-OFS
-    (performance; ascending execution time in that order)."""
+    @pytest.mark.parametrize("app,size", [(WORDCOUNT, 2 * GB), (GREP, 2 * GB)])
+    def test_shuffle_apps(self, paper_findings, app, size):
+        assert_covers("small-order", app, size)
+        assert_holds(paper_findings, "small-order")
 
-    @pytest.mark.parametrize("app,size", [
-        (WORDCOUNT, 2 * GB),
-        (GREP, 2 * GB),
-    ])
-    def test_shuffle_apps(self, app, size):
-        t = exec_at(app, size)
-        assert t["up-HDFS"] < t["up-OFS"] < t["out-HDFS"] < t["out-OFS"], t
-
-    def test_dfsio_small(self):
-        t = exec_at(TESTDFSIO_WRITE, 3 * GB)
-        assert t["up-HDFS"] < t["up-OFS"], t
-        assert t["up-OFS"] < t["out-OFS"], t
-        assert t["out-HDFS"] < t["out-OFS"], t
-
-    def test_hdfs_beats_ofs_small_by_10_to_45_percent(self):
-        """'the performance of out-HDFS is around 20% better than
-        out-OFS, and up-HDFS is around 10% better than up-OFS'."""
-        t = exec_at(WORDCOUNT, 2 * GB)
-        assert 1.02 < t["out-OFS"] / t["out-HDFS"] < 1.45, t
-        assert 1.02 < t["up-OFS"] / t["up-HDFS"] < 1.40, t
-
-    def test_up_ofs_beats_out_hdfs_small(self):
-        """'up-OFS performs around 10-25% better than out-HDFS' — the
-        sentence that justifies the whole hybrid."""
-        for app in (WORDCOUNT, GREP):
-            t = exec_at(app, 2 * GB)
-            assert t["up-OFS"] < t["out-HDFS"], t
+    test_dfsio_small = claims("small-dfsio-order")
+    test_hdfs_beats_ofs_small_by_10_to_45_percent = claims(
+        "small-out-hdfs-gap", "small-up-hdfs-gap")
+    test_up_ofs_beats_out_hdfs_small = claims("small-order")
 
 
 class TestLargeInputOrdering:
-    """Paper, large inputs: out-OFS > out-HDFS > up-OFS > up-HDFS."""
+    @pytest.mark.parametrize("app", [WORDCOUNT, GREP])
+    def test_shuffle_apps_at_64gb(self, paper_findings, app):
+        assert_covers("large-order", app, 64 * GB)
+        assert_holds(paper_findings, "large-order")
 
     @pytest.mark.parametrize("app", [WORDCOUNT, GREP])
-    def test_shuffle_apps_at_64gb(self, app):
-        """At 64 GB — just past the cross points — out-OFS clearly leads
-        and up-HDFS clearly trails; out-HDFS and up-OFS sit within a few
-        percent of each other (they do in the paper's Fig. 5/6 panels
-        too), so that middle comparison gets a 4% tolerance here and is
-        asserted strictly at 256 GB below."""
-        t = exec_at(app, 64 * GB)
-        assert t["out-OFS"] < t["out-HDFS"], t
-        assert t["out-HDFS"] < t["up-OFS"] * 1.04, t
-        assert t["up-OFS"] < t["up-HDFS"], t
+    def test_shuffle_apps_at_256gb_strict(self, paper_findings, app):
+        assert_covers("large-order-strict", app, 256 * GB)
+        assert_covers("up-hdfs-infeasible", app, 256 * GB)
+        assert_holds(paper_findings, "large-order-strict", "up-hdfs-infeasible")
 
-    @pytest.mark.parametrize("app", [WORDCOUNT, GREP])
-    def test_shuffle_apps_at_256gb_strict(self, app):
-        """Deep into scale-out territory the full ordering is strict
-        (up-HDFS is infeasible here, which is itself the paper's worst
-        rank for it)."""
-        t = exec_at(app, 256 * GB)
-        assert t["up-HDFS"] is None, t
-        assert t["out-OFS"] < t["out-HDFS"] < t["up-OFS"], t
-
-    def test_dfsio_large(self):
-        """'out-OFS > up-OFS > out-HDFS' for large map-intensive jobs."""
-        t = exec_at(TESTDFSIO_WRITE, 50 * GB)
-        assert t["out-OFS"] < t["up-OFS"], t
-        assert t["out-OFS"] < t["out-HDFS"], t
-
-    def test_up_hdfs_infeasible_beyond_80gb(self):
-        grid = sweep_architectures((up_hdfs(),), WORDCOUNT, [128 * GB])
-        assert grid["up-HDFS"].execution_times[0] is None
-
-    def test_fig7_tail_moderate(self):
-        """At 100 GB the normalized out/up ratio sits in the paper's
-        ~0.6-0.9 range — scale-out wins, but not absurdly."""
-        for app_name in ("wordcount", "grep"):
-            ratios, _ = crosspoint_series(app_name, [64 * GB, 100 * GB])
-            assert 0.55 <= ratios[-1] <= 0.92, (app_name, ratios)
+    test_dfsio_large = claims("dfsio-large-order")
+    test_up_hdfs_infeasible_beyond_80gb = claims("up-hdfs-infeasible")
+    test_fig7_tail_moderate = claims("fig7-tail")
 
 
 class TestMapPhaseClaims:
-    """Section III-B's map-phase percentages, as bands."""
-
-    def map_at(self, app, size):
-        grid = sweep_architectures(ARCHS, app, [size])
-        return {name: grid[name].map_phases[0] for name in grid}
-
-    def test_hdfs_map_shorter_at_small_sizes(self):
-        """'when the input data size is between 0.5 and 8GB, the map
-        phase duration of these jobs are 10-50% shorter on HDFS'."""
-        for app in (WORDCOUNT, GREP):
-            t = self.map_at(app, 2 * GB)
-            assert t["out-HDFS"] < t["out-OFS"], (app.name, t)
-            assert t["up-HDFS"] < t["up-OFS"], (app.name, t)
-
-    def test_ofs_map_shorter_at_large_sizes(self):
-        """'when the input data size is larger than 16GB, the map phase
-        duration is 10-40% shorter on OFS than on HDFS, no matter on the
-        scale-up or scale-out cluster'."""
-        for app in (WORDCOUNT, GREP):
-            t = self.map_at(app, 64 * GB)
-            assert t["out-OFS"] < t["out-HDFS"], (app.name, t)
-            assert t["up-OFS"] < t["up-HDFS"], (app.name, t)
-            # The scale-up gap is the dramatic one (24 tasks per disk).
-            assert t["up-HDFS"] / t["up-OFS"] > 1.10, (app.name, t)
-
-    def test_dfsio_ofs_map_much_shorter_at_large(self):
-        """'When the input data size is large (>=10GB), OFS leads to
-        50-80% shorter map phase duration, a significant improvement.'"""
-        t = self.map_at(TESTDFSIO_WRITE, 50 * GB)
-        assert t["out-OFS"] < t["out-HDFS"] * 0.75, t
+    test_hdfs_map_shorter_at_small_sizes = claims("small-hdfs-map")
+    test_ofs_map_shorter_at_large_sizes = claims(
+        "large-ofs-map", "large-up-ofs-map-gap")
+    test_dfsio_ofs_map_much_shorter_at_large = claims("dfsio-ofs-map")
 
 
 class TestShuffleAdvantage:
-    def test_shuffle_phase_always_shorter_on_scale_up(self):
-        """'the shuffle phase duration is always shorter on scale-up
-        machines than on scale-out machines'."""
-        for size in (2 * GB, 16 * GB, 64 * GB):
-            grid = sweep_architectures((up_ofs(), out_ofs()), WORDCOUNT, [size])
-            up = grid["up-OFS"].shuffle_phases[0]
-            out = grid["out-OFS"].shuffle_phases[0]
-            assert up < out, (size, up, out)
+    test_shuffle_phase_always_shorter_on_scale_up = claims("shuffle-up-shorter")
 
 
 class TestFig10Shapes:
-    @pytest.fixture(scope="class")
-    def outcome(self):
-        return fig10_trace_replay(num_jobs=300)
-
-    def test_scale_up_jobs_hybrid_dominates(self, outcome):
-        """Fig 10(a) ordering on the class maximum:
-        Hybrid < RHadoop < THadoop."""
-        hybrid = outcome["Hybrid"].max_scale_up_time
-        rhadoop = outcome["RHadoop"].max_scale_up_time
-        thadoop = outcome["THadoop"].max_scale_up_time
-        assert hybrid < rhadoop < thadoop
-
-    def test_scale_out_jobs_partial_ordering(self, outcome):
-        """Fig 10(b): RHadoop < THadoop reproduces; the hybrid's 12-node
-        scale-out side stays within 2x of the 24-node baselines.  (The
-        paper's Hybrid-beats-both does not hold at equal cost in our
-        model; see EXPERIMENTS.md for the capacity arithmetic.)"""
-        hybrid = outcome["Hybrid"].max_scale_out_time
-        rhadoop = outcome["RHadoop"].max_scale_out_time
-        thadoop = outcome["THadoop"].max_scale_out_time
-        assert rhadoop < thadoop
-        assert hybrid < 2.0 * min(rhadoop, thadoop)
-
-    def test_hybrid_best_mean_workload_performance(self, outcome):
-        import numpy as np
-
-        means = {
-            name: float(np.mean([r.execution_time for r in replay.results]))
-            for name, replay in outcome.items()
-        }
-        assert means["Hybrid"] < means["THadoop"]
-        assert means["Hybrid"] < means["RHadoop"]
+    test_scale_up_jobs_hybrid_dominates = claims("fig10a")
+    test_scale_out_jobs_partial_ordering = claims("fig10b")
+    test_hybrid_best_mean_workload_performance = claims("fig10-mean")

@@ -4,19 +4,21 @@
 Tunes the free constants (per-app CPU costs + the Calibration fields)
 against the paper's qualitative targets:
 
-* cross points: Wordcount ~32 GB, Grep ~16 GB, TestDFSIO-write ~10 GB;
+* cross points: the paper's Figs. 7/8 numbers, on the size grids of the
+  cross-point claims in repro.analysis.conclusions;
 * small-input ordering (execution time ascending):
   up-HDFS < up-OFS < out-HDFS < out-OFS for shuffle apps;
 * large-input ordering: out-OFS < out-HDFS < up-OFS (< up-HDFS);
-* Fig. 7 tail: out-OFS/up-OFS ratio at 100 GB in [0.6, 0.95];
+* Fig. 7 tail: out-OFS/up-OFS ratio at 100 GB in [0.60, 0.88];
 * shuffle phase always shorter on scale-up;
 * HDFS ~10-25 % better than OFS at small inputs on the same cluster.
 
 Run:  python tools/calibrate.py [--rounds N] [--quick]
 
 Prints the best parameter set; the winner is frozen into
-repro/core/calibration.py and repro/apps/*.py, and locked in by
-tests/test_paper_fidelity.py.
+repro/core/calibration.py and repro/apps/*.py, and locked in by the
+claims table that tests/test_paper_fidelity.py checks.  ``--quick``
+scores the frozen constants themselves (``START``).
 """
 
 from __future__ import annotations
@@ -26,22 +28,19 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.conclusions import CROSS_CLAIMS
 from repro.analysis.figures import fig10_trace_replay
 from repro.analysis.sweep import sweep_architectures
 from repro.apps import GREP, TESTDFSIO_WRITE, WORDCOUNT
 from repro.core.architectures import out_hdfs, out_ofs, up_hdfs, up_ofs
-from repro.core.calibration import Calibration
+from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.crosspoint import estimate_cross_point
-from repro.units import GB
+from repro.units import GB, MB
 
 ARCHS = (up_ofs(), up_hdfs(), out_ofs(), out_hdfs())
 
-CROSS_SIZES = {
-    "wordcount": [s * GB for s in (8, 16, 24, 32, 48, 64, 96)],
-    "grep": [s * GB for s in (4, 8, 12, 16, 24, 32, 48)],
-    "testdfsio-write": [s * GB for s in (3, 5, 8, 10, 15, 20, 30)],
-}
-CROSS_TARGETS = {"wordcount": 32 * GB, "grep": 16 * GB, "testdfsio-write": 10 * GB}
+CROSS_SIZES = {app: list(claim.inputs) for app, claim in CROSS_CLAIMS.items()}
+CROSS_TARGETS = {app: claim.paper for app, claim in CROSS_CLAIMS.items()}
 
 
 def make_apps(params: Dict[str, float]):
@@ -55,11 +54,11 @@ def make_apps(params: Dict[str, float]):
 def make_calibration(params: Dict[str, float]) -> Calibration:
     return Calibration(
         ofs_access_latency=params["ofs_lat"],
-        ofs_stream_cap=params["ofs_cap"] * 1e6,
+        ofs_stream_cap=params["ofs_cap"] * MB,
         ofs_per_job_overhead=params["ofs_job"],
         task_overhead_up=params["ovh_up"],
         task_overhead_out=params["ovh_out"],
-        ramdisk_bandwidth=params["ramdisk"] * 1e6,
+        ramdisk_bandwidth=params["ramdisk"] * MB,
         shuffle_residual=params["residual"],
         spill_io_factor=params["spill"],
         hdfs_write_buffer_factor=params["wbuf"],
@@ -183,7 +182,7 @@ def evaluate(params: Dict[str, float], verbose: bool = False) -> Tuple[float, Di
     loss += _order_penalty([rhadoop_out, thadoop_out])
     loss += _band_penalty(hybrid_out / rhadoop_out, 0.5, 1.6, weight=4.0)
 
-    # Fig. 7 tail: ratio at 100 GB for wordcount and grep in [0.6, 0.95].
+    # Fig. 7 tail: ratio at 100 GB for wordcount and grep in [0.60, 0.88].
     for app_name in ("wordcount", "grep"):
         grid = sweep_architectures(
             (up_ofs(), out_ofs()), apps[app_name], [100 * GB], cal
@@ -200,25 +199,26 @@ def evaluate(params: Dict[str, float], verbose: bool = False) -> Tuple[float, Di
     return loss, diag
 
 
-#: Initial parameter vector (see module docstring for meanings/units:
-#: cpu costs s/MB, bandwidths MB/s, times s).
+#: Initial parameter vector: the frozen constants (see module docstring
+#: for meanings/units: cpu costs s/MB, bandwidths MB/s, times s).
+_CAL = DEFAULT_CALIBRATION
 START: Dict[str, float] = {
-    "wc_cpu": 0.12943,
-    "grep_cpu": 0.03663,
-    "dfsio_cpu": 0.0307,
-    "ofs_lat": 0.14023,
-    "ofs_cap": 81.319,
-    "ofs_job": 0.10509,
-    "ovh_up": 0.60989,
-    "ovh_out": 1.98,
-    "ramdisk": 1117.6,
-    "residual": 0.1,
-    "spill": 0.2,
-    "wbuf": 1.968,
-    "speed_up": 1.1,
-    "job_setup": 2.2702,
-    "cache": 14.4,
-    "seek": 0.2,
+    "wc_cpu": WORDCOUNT.map_cpu_per_mb,
+    "grep_cpu": GREP.map_cpu_per_mb,
+    "dfsio_cpu": TESTDFSIO_WRITE.map_cpu_per_mb,
+    "ofs_lat": _CAL.ofs_access_latency,
+    "ofs_cap": _CAL.ofs_stream_cap / MB,
+    "ofs_job": _CAL.ofs_per_job_overhead,
+    "ovh_up": _CAL.task_overhead_up,
+    "ovh_out": _CAL.task_overhead_out,
+    "ramdisk": _CAL.ramdisk_bandwidth / MB,
+    "residual": _CAL.shuffle_residual,
+    "spill": _CAL.spill_io_factor,
+    "wbuf": _CAL.hdfs_write_buffer_factor,
+    "speed_up": _CAL.core_speed_up,
+    "job_setup": _CAL.job_setup_overhead,
+    "cache": _CAL.hdfs_page_cache_bytes / GB,
+    "seek": _CAL.disk_seek_penalty,
 }
 
 #: Per-parameter hard bounds (physical plausibility).

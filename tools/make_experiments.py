@@ -15,6 +15,7 @@ import argparse
 
 import numpy as np
 
+from repro.analysis.conclusions import CROSS_CLAIMS
 from repro.analysis.figures import (
     fig3_trace_cdf,
     fig5_wordcount,
@@ -92,15 +93,19 @@ def section_measurement(name, fig_fn, small_size, large_size, unit_note):
 def section_crosspoints():
     fig7 = fig7_crosspoints()
     fig8 = fig8_crosspoint_dfsio()
+
+    def paper(app):
+        return format_size(CROSS_CLAIMS[app].paper)
+
     print("### Figs. 7/8 — cross points\n")
     print(md_table(
         ["application", "shuffle/input", "paper cross", "measured cross"],
         [
-            ["TestDFSIO-write", "~0", "10GB",
+            ["TestDFSIO-write", "~0", paper("testdfsio-write"),
              format_size(fig8.notes["dfsio_cross_point"])],
-            ["Grep", "0.4", "16GB",
+            ["Grep", "0.4", paper("grep"),
              format_size(fig7.notes["grep_cross_point"])],
-            ["Wordcount", "1.6", "32GB",
+            ["Wordcount", "1.6", paper("wordcount"),
              format_size(fig7.notes["wordcount_cross_point"])],
         ],
     ))
@@ -131,15 +136,12 @@ def section_fig10(num_jobs):
             rows,
         ))
         print()
-    means = {
-        arch: float(np.mean([r.execution_time for r in outcome[arch].results]))
-        for arch in outcome
-    }
     print("**Whole-workload mean execution time** (not reported in the "
           "paper; summarises both classes)\n")
     print(md_table(
         ["architecture", "mean (s)"],
-        [[arch, fmt(means[arch])] for arch in ("Hybrid", "THadoop", "RHadoop")],
+        [[arch, fmt(outcome[arch].mean_execution_time)]
+         for arch in ("Hybrid", "THadoop", "RHadoop")],
     ))
     print()
 

@@ -301,7 +301,6 @@ def fig10_trace_replay(
     shrink_factor: float = 5.0,
     tracer: Optional["Tracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
-    telemetry_architecture: str = "Hybrid",
     runner: Optional[PoolRunner] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Dict[str, TraceReplayResult]:
@@ -317,9 +316,9 @@ def fig10_trace_replay(
     contention the paper's Fig. 10(b) argument rests on — matches the
     full trace.
 
-    Optional ``tracer``/``metrics`` observers are attached to the
-    ``telemetry_architecture`` replay only (one tracer records one
-    simulation clock); telemetry never changes the results.  Because
+    Optional ``tracer``/``metrics`` observers are attached to the Hybrid
+    replay only (one tracer records one simulation clock); telemetry
+    never changes the results.  Because
     observers cannot cross process boundaries, the observed replay runs
     in-process and uncached; the other architectures still go through
     ``runner``.
@@ -357,9 +356,7 @@ def fig10_trace_replay(
         for name, spec in specs.items()
     }
     observed = (
-        telemetry_architecture
-        if (tracer is not None or metrics is not None)
-        else None
+        "Hybrid" if (tracer is not None or metrics is not None) else None
     )
     pooled = [name for name in cells if name != observed]
     active = runner if runner is not None else PoolRunner()

@@ -11,11 +11,10 @@ Commands map one-to-one onto the paper's artifacts:
 * ``trace``        — generate an FB-2009 trace; print its Fig. 3 CDF;
   optionally save it as JSON.
 * ``replay``       — the Section V evaluation: replay the trace on
-  Hybrid/THadoop/RHadoop and print the Fig. 10 statistics.
-* ``trace-export`` — run a traced replay and write Chrome trace-event
-  JSON (open in Perfetto / ``chrome://tracing``).
-* ``metrics``      — run a replay with a metrics registry attached and
-  print/dump the flat metrics.
+  Hybrid/THadoop/RHadoop and print the Fig. 10 statistics; the Hybrid
+  replay can also be observed: ``--trace-out`` writes Chrome trace-event
+  JSON (open in Perfetto / ``chrome://tracing``), ``--metrics-out`` the
+  flat metrics dump, and ``--timeline`` prints its Gantt view.
 * ``profile``      — traced replay -> critical-path & bottleneck
   attribution, written as a self-contained HTML dashboard (``--ab`` for
   a Hybrid-vs-THadoop side-by-side; ``--trace-in`` profiles a
@@ -49,9 +48,8 @@ non-zero; pass ``--debug`` before the command to get the traceback.
 
 Parallelism and caching: every cell-grid command (``sweep``,
 ``crosspoints``, ``replay``, ``figures``, ``resilience``) takes
-``--workers N``; on ``sweep``/``crosspoints``, ``--jobs N`` survives as
-a hidden alias for one release (on the other three it already means
-trace-job count).  All cache cell results in
+``--workers N`` (``--jobs N`` is the trace-job count wherever a command
+replays a trace).  All cache cell results in
 ``.repro-cache/results.sqlite`` (``$REPRO_CACHE_DIR`` overrides the
 directory) so re-runs only simulate changed cells; ``--no-cache``
 disables that.  Parallel results are byte-identical to serial ones.
@@ -87,7 +85,13 @@ from repro.core.deployment import Deployment
 from repro.core.scheduler import PAPER_CROSS_POINTS
 from repro.errors import CapacityError, ReproError
 from repro.faults.plan import FaultPlan, default_resilience_plan
-from repro.runner import PoolRunner, ResultCache, default_cache_root
+from repro.runner import (
+    PoolRunner,
+    ResultCache,
+    default_cache_root,
+    execute_replay_observed,
+    replay_cell,
+)
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -114,25 +118,14 @@ ARCH_CHOICES = ("up-OFS", "up-HDFS", "out-OFS", "out-HDFS",
                 "Hybrid", "THadoop", "RHadoop")
 
 
-def _runner_options(*, alias_jobs: bool = False) -> argparse.ArgumentParser:
+def _runner_options() -> argparse.ArgumentParser:
     """Parent parser with the shared runner flags (``--workers``,
-    ``--no-cache``).
-
-    ``alias_jobs`` keeps the old ``--jobs N`` spelling alive as a hidden
-    alias on the commands where it used to mean worker count (one
-    release of grace; ``replay``/``figures``/``resilience`` keep
-    ``--jobs`` as trace-job count).
-    """
+    ``--no-cache``)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for the cell grid (default 1 = serial)",
     )
-    if alias_jobs:
-        parent.add_argument(
-            "--jobs", dest="workers", type=int, metavar="N",
-            help=argparse.SUPPRESS,
-        )
     parent.add_argument(
         "--no-cache", action="store_true",
         help="recompute every cell; skip the on-disk result cache",
@@ -430,22 +423,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.analysis.timeline import phase_summary, render_timeline
-
-    results = _replay_with_telemetry(
-        "Hybrid", args.jobs, args.seed, None, None
-    ).results
-    print(render_timeline(results, width=args.width, max_jobs=args.max_jobs))
-    totals = phase_summary(results)
-    print(
-        f"\nphase totals (s): queued {totals['queued']:.0f}, "
-        f"map {totals['map']:.0f}, shuffle {totals['shuffle']:.0f}, "
-        f"reduce {totals['reduce']:.0f}"
-    )
-    return 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     tracer = Tracer() if args.trace_out else None
     metrics = MetricsRegistry() if args.metrics_out else None
@@ -462,6 +439,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             ("scale-up jobs", replay.scale_up_times),
             ("scale-out jobs", replay.scale_out_times),
         ):
+            if len(times) == 0:
+                # A short trace can route every job to one class.
+                rows.append([name, label, "-", "-", "-", "-"])
+                continue
             p50, p90, p99 = quantile(times, [0.5, 0.9, 0.99])
             rows.append([name, label, p50, p90, p99, float(np.max(times))])
     print(
@@ -475,59 +456,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             for name, replay in outcome.items()
         )
         print(f"\nunder {fault_plan.describe()} — failed jobs: {counts}")
+    if args.timeline:
+        from repro.analysis.timeline import phase_summary, render_timeline
+
+        results = outcome["Hybrid"].results
+        print()
+        print(render_timeline(results, width=100))
+        totals = phase_summary(results)
+        print(
+            f"\nphase totals (s): queued {totals['queued']:.0f}, "
+            f"map {totals['map']:.0f}, shuffle {totals['shuffle']:.0f}, "
+            f"reduce {totals['reduce']:.0f}"
+        )
     if tracer is not None:
         path = write_chrome_trace(tracer, args.trace_out)
         print(f"Hybrid replay trace ({len(tracer)} events) written to {path}")
     if metrics is not None:
         path = write_metrics(metrics, args.metrics_out)
         print(f"Hybrid replay metrics written to {path}")
-    return 0
-
-
-def _replay_with_telemetry(
-    arch: str, num_jobs: int, seed: int, tracer, metrics
-) -> Deployment:
-    """Replay the shrunk FB-2009 trace on one architecture, with any
-    observers attached; returns the finished deployment."""
-    from repro.workload.fb2009 import DAY
-
-    trace = generate_fb2009(
-        num_jobs=num_jobs, seed=seed, duration=DAY * num_jobs / 6000.0
-    ).shrink(5.0)
-    deployment = Deployment(
-        architecture_registry()[arch], tracer=tracer, metrics=metrics
-    )
-    deployment.run_trace(trace.to_jobspecs())
-    return deployment
-
-
-def _cmd_trace_export(args: argparse.Namespace) -> int:
-    tracer = Tracer()
-    _replay_with_telemetry(args.arch, args.jobs, args.seed, tracer, None)
-    path = write_chrome_trace(tracer, args.out)
-    counts = ", ".join(
-        f"{cat}: {n}" for cat, n in sorted(tracer.categories().items())
-    )
-    print(f"{args.arch} replay of {args.jobs} jobs -> {path}")
-    print(f"{len(tracer)} events ({counts})")
-    print("open in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry()
-    _replay_with_telemetry(args.arch, args.jobs, args.seed, None, metrics)
-    rows = [[name, kind, f"{value:g}"] for name, kind, value in metrics.rows()]
-    print(
-        render_table(
-            ["metric", "kind", "value"],
-            rows,
-            title=f"{args.arch} replay metrics ({args.jobs} jobs, seed {args.seed})",
-        )
-    )
-    if args.out:
-        path = write_metrics(metrics, args.out)
-        print(f"\nmetrics dump written to {path}")
     return 0
 
 
@@ -541,6 +487,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profiles.append(profile_trace_file(args.trace_in))
         title = f"repro profile: {profiles[0].label}"
     else:
+        archs = architecture_registry()
         arch_names = [args.arch]
         if args.ab:
             if args.ab == args.arch:
@@ -549,7 +496,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             arch_names.append(args.ab)
         for name in arch_names:
             tracer = Tracer()
-            _replay_with_telemetry(name, args.jobs, args.seed, tracer, None)
+            cell = replay_cell(archs[name], num_jobs=args.jobs, seed=args.seed)
+            execute_replay_observed(cell, tracer=tracer)
             profiles.append(profile_run(tracer, label=name))
         title = (
             f"{' vs '.join(arch_names)} — FB-2009 replay, "
@@ -832,7 +780,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_mission(args: argparse.Namespace) -> int:
     import urllib.request
 
-    from repro.mission import frames_from_text, read_frames, write_mission
+    from repro.profiler.dashboard import write_mission
+    from repro.telemetry.bus import frames_from_text, read_frames
 
     if bool(args.frames) == bool(args.url):
         print("error: need exactly one of --frames or --url",
@@ -881,14 +830,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="size sweep on the four architectures",
-        parents=[_seed_options(0), _runner_options(alias_jobs=True)],
+        parents=[_seed_options(0), _runner_options()],
     )
     sweep.add_argument("--app", default="wordcount", choices=sorted(APP_REGISTRY))
     sweep.add_argument("--sizes", help='comma list, e.g. "1GB,4GB,16GB"')
 
     crosspoints = sub.add_parser(
         "crosspoints", help="Figs. 7/8 curves and cross points",
-        parents=[_runner_options(alias_jobs=True)],
+        parents=[_runner_options()],
     )
 
     trace = sub.add_parser(
@@ -907,6 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     replay.add_argument("--jobs", type=int, default=1000)
+    replay.add_argument("--timeline", action="store_true",
+                        help="also print a Gantt view of the Hybrid replay")
 
     resilience = sub.add_parser(
         "resilience",
@@ -941,16 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the default elastic plan to "
                               "FILE (JSON; replay --faults FILE loads it)")
 
-    trace_export = sub.add_parser(
-        "trace-export",
-        help="traced replay -> Chrome trace-event JSON (Perfetto)",
-        parents=[_seed_options(2009)],
-    )
-    trace_export.add_argument("--jobs", type=int, default=200)
-    trace_export.add_argument("--arch", default="Hybrid", choices=ARCH_CHOICES)
-    trace_export.add_argument("--out", default="trace.json",
-                              help="output trace file (default trace.json)")
-
     profile = sub.add_parser(
         "profile",
         help="critical-path & bottleneck dashboard for a traced replay",
@@ -969,14 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dashboard output file (default profile.html)")
     profile.add_argument("--json", metavar="FILE",
                          help="also write compact profile summaries here")
-
-    metrics = sub.add_parser(
-        "metrics", help="replay with a metrics registry; print the flat dump",
-        parents=[_seed_options(2009)],
-    )
-    metrics.add_argument("--jobs", type=int, default=200)
-    metrics.add_argument("--arch", default="Hybrid", choices=ARCH_CHOICES)
-    metrics.add_argument("--out", help="also write the dump as JSON here")
 
     figures = sub.add_parser(
         "figures", help="regenerate all figure data (txt + json) into a dir",
@@ -1024,14 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bandit exploration strategy (default epsilon)")
     tune.add_argument("--out", metavar="FILE",
                       help="also write the full report JSON here")
-
-    timeline = sub.add_parser(
-        "timeline", help="Gantt view of a small hybrid replay",
-        parents=[_seed_options(2009)],
-    )
-    timeline.add_argument("--jobs", type=int, default=30)
-    timeline.add_argument("--width", type=int, default=100)
-    timeline.add_argument("--max-jobs", type=int, default=40)
 
     cache = sub.add_parser(
         "cache",
@@ -1126,14 +1051,11 @@ _COMMANDS = {
     "replay": _cmd_replay,
     "resilience": _cmd_resilience,
     "elastic": _cmd_elastic,
-    "timeline": _cmd_timeline,
     "advise": _cmd_advise,
     "tune": _cmd_tune,
     "verify": _cmd_verify,
     "figures": _cmd_figures,
-    "trace-export": _cmd_trace_export,
     "profile": _cmd_profile,
-    "metrics": _cmd_metrics,
     "cache": _cmd_cache,
     "serve": _cmd_serve,
     "submit": _cmd_submit,

@@ -3,7 +3,8 @@
 Where the :class:`~repro.telemetry.tracer.Tracer` records *every* event,
 a :class:`MetricsRegistry` keeps cheap running aggregates — totals,
 last values, and log-bucketed distributions — suitable for a flat
-end-of-run dump (``repro metrics``) or programmatic assertions.
+end-of-run dump (``repro replay --metrics-out``) or programmatic
+assertions.
 
 Instruments are created lazily and idempotently: ``registry.counter(
 "out.maps_finished")`` returns the existing counter or makes one, so

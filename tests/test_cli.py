@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -78,17 +79,6 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "[runner]" in out
         assert "8 cells" in out
-
-    def test_hidden_jobs_alias_still_works(self, capsys):
-        # One release of grace for the old spelling (hidden from --help).
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["sweep", "--jobs", "3"])
-        assert args.workers == 3
-        assert "--jobs" not in build_parser().format_help()
-        assert main(["sweep", "--app", "grep", "--sizes", "1GB",
-                     "--jobs", "2"]) == 0
-        assert "[runner]" in capsys.readouterr().out
 
     def test_workers_flag_is_uniform_across_grid_commands(self):
         from repro.cli import build_parser
@@ -227,6 +217,14 @@ class TestReplay:
         assert "Hybrid" in out and "THadoop" in out and "RHadoop" in out
         assert "scale-up jobs" in out and "scale-out jobs" in out
 
+    def test_empty_job_class_prints_dashes(self, capsys):
+        # All seven jobs of this trace are scale-up jobs.
+        assert main(["replay", "--jobs", "7", "--seed", "3"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if "scale-out jobs" in line]
+        assert len(rows) == 3
+        assert all(row[-4:] == ["-"] * 4 for row in rows)
+
     def test_trace_out_records_hybrid_replay(self, tmp_path, capsys):
         import json
 
@@ -240,14 +238,43 @@ class TestReplay:
         assert {"job", "task", "storage", "scheduler"} <= categories
 
 
+class TestObservedReplayPins:
+    """``replay --trace-out/--metrics-out/--timeline`` write the bytes the
+    former ``trace-export``, ``metrics --out`` and ``timeline`` commands
+    wrote for the same trace."""
+
+    @pytest.mark.parametrize("args, digests", [
+        (("--jobs", "30"), (
+            "33477767dba067c8ebfc717e8041022ceff03f7d660cde56ea75134c793e3c1d",
+            "fbe980795c790b671f77a07f76e996e46aa5ce4086854bad8e271fdc3c835e15",
+            "eedaa121e93cff32993602f2ea2f4319197a34a7ea6e79b88d37bb4b0a89bcfb",
+        )),
+        (("--jobs", "7", "--seed", "3"), (
+            "23421c099b2492361b8d380dbf51675de06839ee1ebd49f87194c33a1ce640cf",
+            "4f2055c95546d7e6b2ac1bc8b2be154c24eb5bfd805d49aada8439ee1e839158",
+            "3bffbd231ddcbadb78e169bea761048d319e777c0d7abfeee3bc7c93f281d840",
+        )),
+    ])
+    def test_outputs_are_byte_identical(self, tmp_path, capsys, args, digests):
+        trace, dump = tmp_path / "trace.json", tmp_path / "metrics.json"
+        assert main(["replay", *args, "--trace-out", str(trace),
+                     "--metrics-out", str(dump), "--timeline"]) == 0
+        out = capsys.readouterr().out
+        # The timeline follows the table's blank line and precedes the
+        # "written to" lines of the two files.
+        timeline = out.split("\n\n", 1)[1]
+        timeline = timeline[:timeline.index("Hybrid replay trace")]
+        assert tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (trace.read_bytes(), dump.read_bytes(), timeline.encode())
+        ) == digests
+
+
 class TestTraceExport:
     def test_writes_perfetto_loadable_json(self, tmp_path, capsys):
-        import json
-
         path = tmp_path / "export.json"
-        assert main(["trace-export", "--jobs", "20", "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "perfetto" in out
+        assert main(["replay", "--jobs", "20", "--trace-out", str(path)]) == 0
+        assert "Hybrid replay trace" in capsys.readouterr().out
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
         names = {e["name"] for e in payload["traceEvents"]}
@@ -256,12 +283,9 @@ class TestTraceExport:
 
 class TestMetrics:
     def test_prints_and_dumps_registry(self, tmp_path, capsys):
-        import json
-
         path = tmp_path / "metrics.json"
-        assert main(["metrics", "--jobs", "20", "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "jobs_completed" in out
+        assert main(["replay", "--jobs", "20", "--metrics-out", str(path)]) == 0
+        assert "Hybrid replay metrics written" in capsys.readouterr().out
         payload = json.loads(path.read_text())
         completed = [k for k in payload if k.endswith("jobs_completed")]
         assert completed and sum(payload[k] for k in completed) == 20
@@ -269,9 +293,9 @@ class TestMetrics:
 
 class TestTimeline:
     def test_renders_gantt_and_totals(self, capsys):
-        assert main(["timeline", "--jobs", "8", "--width", "60"]) == 0
+        assert main(["replay", "--jobs", "8", "--timeline"]) == 0
         out = capsys.readouterr().out
-        assert "legend" in out
+        assert out.index("Fig 10") < out.index("legend")
         assert "phase totals" in out
         assert "fb2009-00000" in out
 
@@ -379,3 +403,12 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["trace-export"], ["metrics"], ["timeline"],
+        ["sweep", "--jobs", "2"], ["crosspoints", "--jobs", "2"],
+    ])
+    def test_folded_commands_and_jobs_alias_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

@@ -31,7 +31,7 @@ import pytest
 
 from repro.apps import GREP
 from repro.core.architectures import out_ofs, up_ofs
-from repro.mission import render_mission, write_mission
+from repro.profiler.dashboard import render_mission, write_mission
 from repro.runner import PoolRunner, ResultCache, canonical_json, sweep_experiment
 from repro.service import (
     REASON_SHED_DEGRADED,

@@ -28,7 +28,7 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.conclusions import CROSS_CLAIMS
+from repro.analysis.conclusions import CLAIMS_BY_ID, CROSS_CLAIMS
 from repro.analysis.figures import fig10_trace_replay
 from repro.analysis.sweep import sweep_architectures
 from repro.apps import GREP, TESTDFSIO_WRITE, WORDCOUNT
@@ -154,33 +154,28 @@ def evaluate(params: Dict[str, float], verbose: bool = False) -> Tuple[float, Di
                 loss += 5.0
 
     # Fig. 10 (Section V): a 300-job rate-preserving replay must show the
-    # hybrid dominating for scale-up jobs and at least beating THadoop
-    # for scale-out jobs (the full RHadoop inversion is out of reach of
-    # equal-cost physics; see EXPERIMENTS.md).
+    # hybrid dominating for scale-up jobs and holding the claim ``fig10b``
+    # for scale-out jobs (the full inversion is out of reach of equal-cost
+    # physics; see EXPERIMENTS.md).
     replay = fig10_trace_replay(calibration=cal, num_jobs=300)
     hybrid_up = replay["Hybrid"].max_scale_up_time
     thadoop_up = replay["THadoop"].max_scale_up_time
     rhadoop_up = replay["RHadoop"].max_scale_up_time
-    hybrid_out = replay["Hybrid"].max_scale_out_time
-    thadoop_out = replay["THadoop"].max_scale_out_time
-    rhadoop_out = replay["RHadoop"].max_scale_out_time
+    out_max = {name: r.max_scale_out_time for name, r in replay.items()}
     diag["fig10_up_max"] = {
         "Hybrid": round(hybrid_up, 1),
         "THadoop": round(thadoop_up, 1),
         "RHadoop": round(rhadoop_up, 1),
     }
-    diag["fig10_out_max"] = {
-        "Hybrid": round(hybrid_out, 1),
-        "THadoop": round(thadoop_out, 1),
-        "RHadoop": round(rhadoop_out, 1),
-    }
+    diag["fig10_out_max"] = {name: round(t, 1) for name, t in out_max.items()}
     # Paper's Fig 10(a) ordering: Hybrid < RHadoop < THadoop.
     loss += _order_penalty([hybrid_up, rhadoop_up, thadoop_up])
-    # Fig 10(b): RHadoop < THadoop reproduces; the Hybrid's 12-node
-    # scale-out side cannot beat 24 equal nodes in this model (documented
-    # deviation) — keep it within ~1.6x of the best baseline.
-    loss += _order_penalty([rhadoop_out, thadoop_out])
-    loss += _band_penalty(hybrid_out / rhadoop_out, 0.5, 1.6, weight=4.0)
+    # Fig 10(b), as the claim states it: RHadoop < THadoop reproduces; the
+    # Hybrid's 12-node scale-out side cannot beat 24 equal nodes in this
+    # model (documented deviation), so it only has to stay within the
+    # claim's factor of each baseline.
+    for a, b, factor in CLAIMS_BY_ID["fig10b"].relations:
+        loss += _order_penalty([out_max[a], out_max[b] * factor])
 
     # Fig. 7 tail: ratio at 100 GB for wordcount and grep in [0.60, 0.88].
     for app_name in ("wordcount", "grep"):

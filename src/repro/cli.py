@@ -743,7 +743,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print("error: nothing to do (need --file, --trace, --drain "
               "or --shutdown)", file=sys.stderr)
         return 1
-    client = ServiceClient(args.url)
     text = None
     if args.file:
         text = Path(args.file).read_text()
@@ -754,34 +753,35 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                        sort_keys=True) + "\n"
             for job in trace.jobs
         )
-    if text is not None:
-        statuses = client.submit_ndjson(text)
-        accepted = sum(1 for s in statuses if s.accepted)
-        print(f"submitted {len(statuses)} job(s): {accepted} accepted, "
-              f"{len(statuses) - accepted} rejected")
-        for status in statuses:
-            if not status.accepted:
-                print(f"  rejected {status.job_id}: {status.reason}")
-    if args.drain:
-        summary = client.drain()
-        print(
-            f"drained: {summary['finished']}/{summary['accepted']} finished "
-            f"({summary['failed']} failed) at clock "
-            f"{format_duration(summary['clock'])}"
-        )
-    if args.shutdown:
-        reply = client.shutdown()
-        checkpoint = reply.get("checkpoint")
-        print("service shut down"
-              + (f" (checkpoint: {checkpoint})" if checkpoint else ""))
+    with ServiceClient(args.url) as client:
+        if text is not None:
+            statuses = client.submit_ndjson(text)
+            accepted = sum(1 for s in statuses if s.accepted)
+            print(f"submitted {len(statuses)} job(s): {accepted} accepted, "
+                  f"{len(statuses) - accepted} rejected")
+            for status in statuses:
+                if not status.accepted:
+                    print(f"  rejected {status.job_id}: {status.reason}")
+        if args.drain:
+            summary = client.drain()
+            print(
+                f"drained: {summary['finished']}/{summary['accepted']} "
+                f"finished ({summary['failed']} failed) at clock "
+                f"{format_duration(summary['clock'])}"
+            )
+        if args.shutdown:
+            reply = client.shutdown()
+            checkpoint = reply.get("checkpoint")
+            print("service shut down"
+                  + (f" (checkpoint: {checkpoint})" if checkpoint else ""))
     return 0
 
 
 def _cmd_mission(args: argparse.Namespace) -> int:
-    import urllib.request
-
+    from repro.errors import ServiceError
     from repro.profiler.dashboard import write_mission
-    from repro.telemetry.bus import frames_from_text, read_frames
+    from repro.service import ServiceClient
+    from repro.telemetry.bus import read_frames
 
     if bool(args.frames) == bool(args.url):
         print("error: need exactly one of --frames or --url",
@@ -791,16 +791,13 @@ def _cmd_mission(args: argparse.Namespace) -> int:
         frames = read_frames(args.frames)
         source = args.frames
     else:
-        events_url = args.url.rstrip("/") + "/events"
+        source = args.url.rstrip("/") + "/events"
         try:
-            with urllib.request.urlopen(events_url, timeout=30.0) as resp:
-                text = resp.read().decode("utf-8")
-        except OSError as exc:
-            print(f"error: cannot fetch {events_url}: {exc}",
-                  file=sys.stderr)
+            with ServiceClient(args.url) as client:
+                frames = client.events()
+        except ServiceError as exc:
+            print(f"error: cannot fetch {source}: {exc}", file=sys.stderr)
             return 1
-        frames = frames_from_text(text)
-        source = events_url
     path = write_mission(frames, args.out, refresh=args.refresh or None)
     print(f"mission dashboard ({len(frames)} frame(s) from {source}) "
           f"written to {path} (self-contained HTML)")

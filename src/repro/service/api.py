@@ -29,10 +29,9 @@ its thread pool.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
-import urllib.error
-import urllib.request
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.api import (
@@ -62,7 +61,12 @@ from repro.service.admission import (
 )
 from repro.service.checkpoint import CheckpointStore
 from repro.service.models import JobRecord
-from repro.telemetry.bus import KIND_SERVICE, MetricsBus
+from repro.telemetry.bus import (
+    KIND_SERVICE,
+    MetricsBus,
+    MetricsFrame,
+    frames_from_text,
+)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.service import ServiceInstruments
 from repro.telemetry.tracer import Tracer
@@ -70,6 +74,12 @@ from repro.telemetry.tracer import Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.elastic.autoscale import Autoscaler
     from repro.tune.tuner import Tuner
+
+
+#: What a keep-alive connection the server has closed fails with before
+#: any response byte arrives (``RemoteDisconnected`` is a
+#: ``ConnectionResetError``).
+_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
 
 def _pick(mapping: Dict[str, Any], *keys: str) -> Dict[str, Any]:
@@ -540,13 +550,45 @@ class ServiceClient:
 
     Every method returns the decoded response payload; HTTP error
     statuses that still carry a service payload (400 schema errors,
-    429 backpressure) are surfaced as data, while transport failures
-    raise :class:`ServiceError`.
+    404 unknown job, 429 backpressure) are surfaced as data, while
+    transport failures raise :class:`ServiceError`.
+
+    The client holds one keep-alive connection: it opens on the first
+    request (the constructor does no I/O) and carries every request
+    after it until :meth:`close` (or the end of a ``with`` block).  A
+    request on a *reused* connection that fails before any response
+    byte arrives (the server closed the connection, or was restarted)
+    is sent once more on a fresh connection; any other failure raises
+    at once.  The retried request may be one the server had already
+    handled: ``/advance`` and ``/drain`` are idempotent, and a ``/jobs``
+    batch it had already admitted comes back as ``duplicate_job_id``
+    rejections, never as a second admission.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        scheme, _, rest = self.base_url.partition("://")
+        netloc, slash, prefix = rest.partition("/")
+        if scheme != "http" or not netloc:
+            raise ServiceError(
+                f"bad service URL {base_url!r}: need http://host[:port]"
+            )
+        try:
+            self._conn = http.client.HTTPConnection(netloc, timeout=timeout)
+        except http.client.InvalidURL as exc:
+            raise ServiceError(f"bad service URL {base_url!r}: {exc}") from exc
+        self._prefix = slash + prefix
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _request(
         self,
@@ -555,21 +597,25 @@ class ServiceClient:
         body: Optional[bytes] = None,
         content_type: str = "application/json",
     ) -> Tuple[int, str]:
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": content_type} if body else {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.status, resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc}"
-            ) from exc
+        headers = {"Content-Type": content_type} if body else {}
+        conn = self._conn
+        while True:
+            reused = conn.sock is not None
+            response = None
+            try:
+                conn.request(method, self._prefix + path, body, headers)
+                response = conn.getresponse()
+                return response.status, response.read().decode("utf-8")
+            except (http.client.HTTPException, OSError) as exc:
+                conn.close()
+                # After close() the next attempt is on a fresh
+                # connection, so this retries at most once.
+                stale = reused and response is None
+                if stale and isinstance(exc, _STALE_CONNECTION):
+                    continue
+                raise ServiceError(
+                    f"cannot reach service at {self.base_url}: {exc}"
+                ) from exc
 
     @staticmethod
     def _json(status: int, body: str) -> Dict[str, Any]:
@@ -606,6 +652,15 @@ class ServiceClient:
         if status == 404:
             return None
         return JobStatus.from_wire(self._json(status, body))
+
+    def events(self, since: int = 0) -> List[MetricsFrame]:
+        """The metrics-bus frames with ``seq > since`` (``GET /events``);
+        raises :class:`ServiceError` when the daemon has no bus."""
+        status, body = self._request("GET", f"/events?since={since}")
+        if status != 200:
+            error = self._json(status, body).get("error", body)
+            raise ServiceError(f"GET /events answered {status}: {error}")
+        return frames_from_text(body)
 
     def metrics(self) -> Dict[str, Any]:
         return self._json(*self._request("GET", "/metrics"))

@@ -21,20 +21,26 @@ method     path            meaning
 Status codes: ``202`` admitted, ``429`` backpressure (single job, or a
 batch whose every line was rejected — partial-rejection batches return
 ``200`` with per-line statuses), ``400`` schema errors with per-line
-NDJSON diagnostics, ``404`` unknown job or route.
+NDJSON diagnostics, ``404`` unknown job or route, ``411``/``413`` a body
+without a usable ``Content-Length`` or over :data:`MAX_BODY_BYTES`.
 
 Built on :class:`http.server.ThreadingHTTPServer`; the wrapped
 :class:`~repro.service.api.ReproService` serialises state access behind
-its own lock, so concurrent clients are safe.
+its own lock, so concurrent clients are safe.  Connections are HTTP/1.1
+keep-alive: every request body is read whole, so the next request on
+the connection starts where it ends, and a reply after which the server
+will not read on (``411``, ``413``, ``/shutdown``) carries ``Connection:
+close``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.errors import ServiceError
 from repro.service.api import ReproService
@@ -42,6 +48,13 @@ from repro.service.api import ReproService
 #: Largest request body the daemon will read (64 MiB of NDJSON is about
 #: half a million jobs — far beyond one admission batch).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def _utf8(body: bytes) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ServiceError(f"request body is not UTF-8: {exc}") from exc
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -65,20 +78,23 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- response helpers -------------------------------------------------
 
     def _send(self, status: int, body: bytes, content_type: str,
-              route: str) -> None:
+              route: str, close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if status == 429:
             self.send_header("Retry-After", "1")
+        if close:
+            # Also sets close_connection: no request is read after this.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.service.instruments.observe_request(self.command, route, status)
 
     def _send_json(self, status: int, payload: Dict[str, Any],
-                   route: str) -> None:
+                   route: str, close: bool = False) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._send(status, body, "application/json", route)
+        self._send(status, body, "application/json", route, close)
 
     def _send_ndjson(self, status: int, lines: list, route: str) -> None:
         body = "".join(
@@ -86,20 +102,37 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         ).encode("utf-8")
         self._send(status, body, "application/x-ndjson", route)
 
-    def _read_body(self) -> Optional[str]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, read whole so that the next request on this
+        connection starts where it ends.  ``None`` once a body that will
+        not be read has been answered, with ``Connection: close``: its
+        bytes would otherwise be parsed as the next request."""
+        length = (self.headers.get("Content-Length") or "0").strip()
+        if self.headers.get("Transfer-Encoding") or not length.isdecimal():
+            self._send_json(
+                411,
+                {"error": "a request body needs a Content-Length "
+                          "(chunked bodies are not read)"},
+                self.path,
+                close=True,
+            )
+            return None
+        size = int(length)
+        if size > MAX_BODY_BYTES:
             self._send_json(
                 413,
                 {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
                 self.path,
+                close=True,
             )
             return None
-        return self.rfile.read(length).decode("utf-8") if length else ""
+        return self.rfile.read(size)
 
     # -- routing ----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        if self._read_body() is None:
+            return
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
             self._send_json(200, self.service.health(), "/healthz")
@@ -122,6 +155,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no route {path!r}"}, path)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        body = self._read_body()
+        if body is None:
+            return
         path = self.path.split("?", 1)[0]
         handler = {
             "/jobs": self._post_jobs,
@@ -132,11 +168,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if handler is None:
             self._send_json(404, {"error": f"no route {path!r}"}, path)
             return
-        body = self._read_body()
-        if body is None:
-            return
         try:
-            handler(body)
+            handler(_utf8(body))
         except ServiceError as exc:
             self._send_json(400, {"error": str(exc)}, path)
 
@@ -241,7 +274,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _post_shutdown(self, body: str) -> None:
         path = self.service.checkpoint()
         self._send_json(
-            200, {"status": "shutting down", "checkpoint": path}, "/shutdown"
+            200,
+            {"status": "shutting down", "checkpoint": path},
+            "/shutdown",
+            close=True,
         )
         # shutdown() must come from another thread: it blocks until
         # serve_forever returns, and this handler *is* a serve thread.
@@ -263,9 +299,36 @@ class ReproHTTPServer(ThreadingHTTPServer):
         *,
         verbose: bool = False,
     ) -> None:
+        # Set first: a failed bind calls server_close() from __init__.
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, ServiceRequestHandler)
         self.service = service
         self.verbose = verbose
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every open connection, so a stopped
+        server answers no further request: a handler thread waiting for
+        the next keep-alive request reads end-of-file and exits, and the
+        client sees the connection closed."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
+        super().server_close()
 
     @property
     def url(self) -> str:

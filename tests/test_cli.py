@@ -389,6 +389,27 @@ class TestServeAndSubmit:
             main(["submit", "--url", url, "--shutdown"])
             thread.join(timeout=10)
 
+    def test_mission_from_a_live_daemon(self, tmp_path, capsys):
+        thread, url = self._start_daemon(tmp_path)
+        out_path = tmp_path / "mission.html"
+        try:
+            assert main(["submit", "--url", url, "--drain"]) == 0
+            capsys.readouterr()
+            assert main(["mission", "--url", url,
+                         "--out", str(out_path)]) == 0
+            out = capsys.readouterr().out
+            assert f"1 frame(s) from {url}/events" in out
+            assert out_path.read_text().startswith("<!DOCTYPE html>")
+        finally:
+            main(["submit", "--url", url, "--shutdown"])
+            thread.join(timeout=10)
+
+    def test_mission_unreachable_daemon_fails_cleanly(self, tmp_path, capsys):
+        assert main(["mission", "--url", "http://127.0.0.1:9",
+                     "--out", str(tmp_path / "m.html")]) == 1
+        assert ("cannot fetch http://127.0.0.1:9/events"
+                in capsys.readouterr().err)
+
     def test_submit_without_action_errors(self, capsys):
         assert main(["submit"]) == 1
         assert "nothing to do" in capsys.readouterr().err

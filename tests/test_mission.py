@@ -37,9 +37,11 @@ from repro.service import (
     REASON_SHED_DEGRADED,
     AdmissionPolicy,
     ReproService,
+    ServiceClient,
     serve,
 )
 from repro.core.api import JobSubmission
+from repro.errors import ServiceError
 from repro.elastic import HEALTH_DEGRADED, BrownoutConfig
 from repro.faults import NODE_CRASH, FaultEvent, FaultPlan
 from repro.telemetry.bus import (
@@ -459,6 +461,14 @@ class TestHTTPSurface:
         _, tail = self._get(server.url + "/events?since=1")
         assert [f.seq for f in frames_from_text(tail)] == [2]
 
+    def test_client_events_tail_and_since(self, server):
+        self._submit(server, "j1")
+        self._submit(server, "j2")
+        with ServiceClient(server.url) as client:
+            assert [f.seq for f in client.events()] == [1, 2]
+            assert [f.seq for f in client.events(since=1)] == [2]
+            assert client.events(since=2) == []
+
     def test_events_rejects_bad_since(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             self._get(server.url + "/events?since=soon")
@@ -473,6 +483,9 @@ class TestHTTPSurface:
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._get(httpd.url + "/events")
             assert err.value.code == 404
+            with ServiceClient(httpd.url) as client:
+                with pytest.raises(ServiceError, match="404.*no metrics bus"):
+                    client.events()
         finally:
             httpd.shutdown()
             httpd.server_close()

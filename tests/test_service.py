@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -47,6 +48,8 @@ from repro.service import (
     ServiceClient,
     serve,
 )
+from repro.service import server as server_module
+from repro.service.server import ReproHTTPServer
 from repro.units import GB, MB
 from repro.workload.fb2009 import generate_fb2009
 
@@ -409,6 +412,38 @@ class TestAdmissionEdges:
         assert per_reason[REASON_DUPLICATE] == 1
 
 
+class CountingServer(ReproHTTPServer):
+    """Counts the TCP connections it accepts."""
+
+    def __init__(self, *args, **kwargs):
+        self.connections = 0
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+
+def start_server(service, port=0):
+    httpd = CountingServer(service, ("127.0.0.1", port))
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    return httpd, thread
+
+
+def stop_server(httpd, thread):
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 class TestHTTPSurface:
     """End-to-end over a real socket (ephemeral port)."""
 
@@ -419,15 +454,11 @@ class TestHTTPSurface:
             policy=AdmissionPolicy(max_total_pending=40),
             checkpoint_path=str(tmp_path / "state.json"),
         )
-        httpd = serve(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
+        httpd, thread = start_server(service)
         try:
             yield httpd
         finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
+            stop_server(httpd, thread)
 
     def test_full_round_trip(self, server):
         client = ServiceClient(server.url)
@@ -523,6 +554,171 @@ class TestHTTPSurface:
         finally:
             conn.close()
         assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f} s"
+
+    def test_a_pass_is_served_over_one_connection(self, server):
+        subs = submissions_for(make_trace(10))
+        with ServiceClient(server.url) as client:
+            for start in (0, 5):  # two rounds of 9 requests
+                chunk = subs[start:start + 5]
+                text = "".join(json.dumps(s.to_wire()) + "\n" for s in chunk)
+                assert all(s.accepted for s in client.submit_ndjson(text))
+                client.advance(chunk[-1].arrival_time)
+                for sub in chunk:
+                    assert client.job_status(sub.job_id) is not None
+                client.metrics()
+                client.health()
+            for _ in range(31):
+                assert client.job_status("ghost") is None
+            assert client.drain()["finished"] == 10  # the 50th request
+        assert server.connections == 1
+
+    def test_error_payloads_are_data_on_a_reused_connection(self, server):
+        with ServiceClient(server.url) as client:
+            assert client.health()["status"] == "ok"
+            status, body = client._request(
+                "POST", "/advance", b'{"until": "soon"}'
+            )
+            assert status == 400 and "until" in json.loads(body)["error"]
+            with pytest.raises(ServiceError, match="schema"):
+                client.submit_ndjson('{"job_id": "x"}\n')
+            status, body = client._request(
+                "POST", "/jobs", b"\xff\n", "application/x-ndjson"
+            )
+            assert status == 400 and "UTF-8" in json.loads(body)["error"]
+            client.submit_ndjson(ndjson_for(make_trace(60, seed=7)))
+            overflow = client.submit(
+                JobSubmission(job_id="over", input_bytes=1 * GB)
+            )
+            assert overflow.reason == REASON_SERVICE_FULL
+            assert client.job_status("ghost") is None
+            assert client.health()["accepted"] == 40
+        assert server.connections == 1
+
+    def test_unread_bodies_do_not_frame_the_next_request(
+        self, server, monkeypatch
+    ):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            # A 404 route still reads its body; the connection stays up.
+            conn.request("POST", "/nope", b"x" * 100)
+            response = conn.getresponse()
+            assert response.status == 404 and not response.will_close
+            response.read()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            # A body the server will not read closes the connection.
+            monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 16)
+            conn.request("POST", "/jobs", b"x" * 64)
+            response = conn.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            response.read()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            conn.close()
+        assert server.connections == 2
+        with ServiceClient(server.url) as client:
+            status, _ = client._request("POST", "/nope", b"y" * 8)
+            assert status == 404
+            status, _ = client._request("POST", "/drain", b"z" * 64)
+            assert status == 413
+            assert client.health()["status"] == "ok"
+        assert server.connections == 4
+
+    def test_chunked_body_is_refused_and_closed(self, server):
+        with socket.create_connection(server.server_address, 10) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"5\r\nhello\r\n0\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 411")
+        assert b"Connection: close" in head
+        assert reply.count(b"HTTP/1.1") == 1  # the chunks were not parsed
+
+    def test_a_stopped_server_answers_no_request(self):
+        httpd, thread = start_server(ReproService("Hybrid"))
+        client = ServiceClient(httpd.url, timeout=10)
+        assert client.health()["status"] == "ok"
+        stop_server(httpd, thread)
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+        client.close()
+
+    def test_a_restarted_server_is_reconnected_once(self):
+        httpd, thread = start_server(ReproService("Hybrid"))
+        port = httpd.server_address[1]
+        with ServiceClient(httpd.url, timeout=10) as client:
+            client.submit(JobSubmission(job_id="j", input_bytes=1 * GB))
+            stop_server(httpd, thread)
+            httpd, thread = start_server(ReproService("Hybrid"), port)
+            try:
+                assert client.health()["accepted"] == 0
+                assert client.health()["accepted"] == 0
+                assert httpd.connections == 1
+            finally:
+                stop_server(httpd, thread)
+
+    def test_a_fresh_connection_is_not_retried(self, monkeypatch):
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(conn):
+            connects.append(conn.port)
+            connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                            counting_connect)
+        port = closed_port()
+        with pytest.raises(ServiceError, match="cannot reach"):
+            ServiceClient(f"http://127.0.0.1:{port}").health()
+        assert connects == [port]
+
+    def test_a_reply_cut_off_midway_is_not_retried(self):
+        # A raw listener: answers the first request whole, sends only
+        # the first bytes of the second, then closes the connection.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+
+        def serve_one_connection():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                for reply in (b"2\r\n\r\n{}", b"10\r\n\r\n{\"a"):
+                    while reader.readline() not in (b"\r\n", b""):
+                        pass
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: " + reply)
+
+        thread = threading.Thread(target=serve_one_connection, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        try:
+            with ServiceClient(f"http://127.0.0.1:{port}", timeout=10) as client:
+                assert client.health() == {}
+                with pytest.raises(ServiceError, match="cannot reach"):
+                    client.health()
+            thread.join(timeout=5)
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):  # no second connection
+                listener.accept()
+        finally:
+            listener.close()
+
+    def test_service_urls_are_checked_without_connecting(self):
+        for bad in ("localhost:8008", "ftp://host/", "http://host:port"):
+            with pytest.raises(ServiceError, match="URL"):
+                ServiceClient(bad)
+        client = ServiceClient(f"http://127.0.0.1:{closed_port()}/")
+        client.close()  # nothing was opened
 
     def test_shutdown_checkpoints_and_stops(self, tmp_path):
         service = ReproService(
